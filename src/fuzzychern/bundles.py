@@ -11,13 +11,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import d0, module_trace, scalar_form, wedge
-from .linalg import kron, normalized_trace
+from .linalg import as_matrix, identity_like, kron, max_abs, normalized_trace
 
 __all__ = [
     "PAULI",
     "PointOnSphere",
     "FuzzyProjector",
+    "projector_coefficients",
     "solve_projector_params",
+    "projector_matrix",
     "build_fuzzy_projector",
     "bott_projector",
     "tensor_power_projector",
@@ -64,18 +66,27 @@ class PointOnSphere:
         return np.array([self.x1, self.x2, self.x3])
 
 
+def projector_coefficients(kappa, sign):
+    """(alpha, beta) of the nontrivial idempotent alpha + beta sigma.X on the
+    sign branch: beta = sign/sqrt(4 + kappa^2), alpha = (1 + beta kappa)/2."""
+    if kappa <= 0:
+        raise ValueError("kappa must be positive, got %g" % kappa)
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1, got %r" % (sign,))
+    beta = sign / np.sqrt(4.0 + kappa**2)
+    return (1.0 + beta * kappa) / 2.0, beta
+
+
 def solve_projector_params(kappa):
     """All (alpha, beta) making alpha + beta sigma.X idempotent.
 
     Solves alpha^2 + beta^2 = alpha together with 2 alpha - kappa beta = 1.
     Returns a list of dicts with keys alpha, beta, trivial, residual; the two
-    nontrivial branches are beta = +-1/sqrt(4 + kappa^2), alpha = (1+beta kappa)/2.
+    nontrivial branches come from ``projector_coefficients``.
     """
-    if kappa <= 0:
-        raise ValueError("kappa must be positive, got %g" % kappa)
     out = []
-    for beta in (1.0 / np.sqrt(4.0 + kappa**2), -1.0 / np.sqrt(4.0 + kappa**2)):
-        alpha = (1.0 + beta * kappa) / 2.0
+    for sign in (1, -1):
+        alpha, beta = projector_coefficients(kappa, sign)
         res = max(
             abs(alpha**2 + beta**2 - alpha),
             abs(2.0 * alpha - kappa * beta - 1.0),
@@ -88,11 +99,15 @@ def solve_projector_params(kappa):
 
 @dataclass(frozen=True)
 class FuzzyProjector:
+    """A fuzzy projector with the invariant residuals measured when it was built."""
+
     spin: object  # SpinLabel
     sign: int  # +1 or -1
     alpha: float
     beta: float
-    realization: np.ndarray = field(repr=False)
+    realization: object = field(repr=False)  # dense ndarray or Banded
+    idempotency: float  # max |p p - p|
+    selfadjointness: float  # max |p - p^dagger|
 
     @property
     def N(self):
@@ -107,28 +122,32 @@ class FuzzyProjector:
         return normalized_trace(self.realization) * 2.0
 
     def idempotency_residual(self):
-        p = self.realization
-        return float(np.max(np.abs(p @ p - p)))
+        return self.idempotency
 
     def selfadjointness_residual(self):
-        p = self.realization
-        return float(np.max(np.abs(p - p.conj().T)))
+        return self.selfadjointness
+
+
+def projector_matrix(coords, alpha, beta):
+    """alpha + beta sigma_a (x) X_a, stored like the coordinates."""
+    p = alpha * identity_like(coords.X3, 2 * coords.N)
+    for a in (1, 2, 3):
+        p += beta * kron(PAULI[a - 1], coords.axis(a))
+    return p
 
 
 def build_fuzzy_projector(coords, sign):
     """Construct alpha + beta sigma_a (x) X_a on the chosen sign branch."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1, got %r" % (sign,))
     spin = coords.spin
     kappa = spin.kappa
-    beta = sign / np.sqrt(4.0 + kappa**2)
-    alpha = (1.0 + beta * kappa) / 2.0
+    alpha, beta = projector_coefficients(kappa, sign)
     N = spin.N
-    p = alpha * np.eye(2 * N, dtype=np.complex128)
-    for a in (1, 2, 3):
-        p += beta * kron(PAULI[a - 1], coords.axis(a))
-    proj = FuzzyProjector(spin=spin, sign=sign, alpha=alpha, beta=beta, realization=p)
-    if proj.idempotency_residual() > 1e-12 or proj.selfadjointness_residual() > 1e-12:
+    p = projector_matrix(coords, alpha, beta)
+    proj = FuzzyProjector(
+        spin=spin, sign=sign, alpha=alpha, beta=beta, realization=p,
+        idempotency=max_abs(p @ p - p), selfadjointness=max_abs(p - p.conj().T),
+    )
+    if proj.idempotency > 1e-12 or proj.selfadjointness > 1e-12:
         raise ProjectorConsistencyError(
             "projector invariants violated at N=%d sign=%+d" % (N, sign)
         )
@@ -159,15 +178,23 @@ def tensor_power_projector(point, k):
 
 
 def curvature(ctx, p):
-    """Grassmann-connection curvature p (dp)(dp) as a matrix-valued two-form."""
-    p = np.asarray(p, dtype=np.complex128)
-    if np.max(np.abs(p @ p - p)) > 1e-10:
-        raise ValueError("curvature needs an idempotent input")
+    """Grassmann-connection curvature p (dp)(dp) as a matrix-valued two-form.
+
+    ``p`` is a ``FuzzyProjector``, whose invariants were checked when it was
+    built, or a raw matrix, which is checked for idempotency here.
+    """
+    if isinstance(p, FuzzyProjector):
+        p = p.realization
+    else:
+        p = as_matrix(p)
+        if max_abs(p @ p - p) > 1e-10:
+            raise ValueError("curvature needs an idempotent input")
     dp = d0(ctx, p)
     n = dp.module_rank
     return wedge(scalar_form(p, module_rank=n, algebra_dim=ctx.N), wedge(dp, dp))
 
 
 def chern_character_form(ctx, p):
-    """Degree-2 Chern character component: module trace of p (dp)(dp)."""
+    """Degree-2 Chern character component: module trace of p (dp)(dp), for a
+    ``FuzzyProjector`` or a raw matrix as in ``curvature``."""
     return module_trace(curvature(ctx, p))

@@ -3,7 +3,8 @@
 Forms of degree 0..3 carry coefficients in the basis one-forms theta^a dual
 to the derivations e_a = (1/kappa) ad X_a. Coefficients are (n*N) x (n*N)
 matrices where n is the module rank (1 for scalar forms, 2 for
-projector-valued forms); products keep the noncommutative order.
+projector-valued forms); products keep the noncommutative order. The
+coefficients are dense or ``Banded``, as the coordinates are.
 
 Component ordering is fixed once and for all:
 degree 1 -> theta^1, theta^2, theta^3;
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ShapeError, as_matrix, kron
+from .linalg import ShapeError, as_matrix, frobenius_norm, kron, max_abs, partial_trace
 
 __all__ = [
     "GradedForm",
@@ -86,10 +87,10 @@ class GradedForm:
 
     def norm(self):
         """Hilbert-Schmidt norm summed over components."""
-        return float(np.sqrt(sum(np.linalg.norm(c) ** 2 for c in self.components)))
+        return float(np.sqrt(sum(frobenius_norm(c) ** 2 for c in self.components)))
 
     def max_entry(self):
-        return float(max(np.max(np.abs(c)) for c in self.components))
+        return max(max_abs(c) for c in self.components)
 
     def _check_compatible(self, other):
         if (
@@ -221,8 +222,5 @@ def module_trace(eta):
     n, N = eta.module_rank, eta.algebra_dim
     if n == 1:
         return eta
-    comps = []
-    for c in eta.components:
-        blocks = c.reshape(n, N, n, N)
-        comps.append(np.einsum("iaib->ab", blocks))
-    return GradedForm(eta.degree, 1, N, tuple(comps))
+    comps = tuple(partial_trace(c, n) for c in eta.components)
+    return GradedForm(eta.degree, 1, N, comps)

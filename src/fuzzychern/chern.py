@@ -3,7 +3,8 @@
 The charge pipeline: curvature two-form F of the fuzzy projector, least
 squares extraction of its scalar coefficient against the volume form omega,
 then c_1 = lambda / (2 pi i). The closed form gamma_pm(N) is computed
-independently for comparison.
+independently for comparison. ``report_for`` runs the pipeline on dense
+matrices up to DENSE_MAX_N and on ``Banded`` ones above it.
 """
 
 from dataclasses import dataclass
@@ -11,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundles import build_fuzzy_projector, chern_character_form
-from .calculus import GradedForm, d0, scalar_form, wedge, zero_form
-from .linalg import ShapeError, hs_inner, is_square, normalized_trace
+from .calculus import CalculusContext, d0, scalar_form, wedge
+from .linalg import ShapeError, hs_inner, normalized_trace
+from .su2 import SpinLabel, fuzzy_coordinates
 
 __all__ = [
     "ChernReport",
@@ -33,6 +35,11 @@ EPSILON = (
     (3, 2, 1, -1.0),
     (2, 1, 3, -1.0),
 )
+
+# report_for stays dense up to this N. The banded pipeline costs about 5 ms
+# per report whatever N, in per-operation overhead; the dense one costs
+# O(N^3) and passes 5 ms between N = 44 and 46 (2 threads of OpenBLAS).
+DENSE_MAX_N = 45
 
 
 class NonProportionalCurvatureError(RuntimeError):
@@ -70,18 +77,16 @@ class ChernReport:
 def volume_form(ctx):
     """omega = eps_abc X_a dX_b ^ dX_c / (8 pi), a scalar-valued two-form."""
     dx = {a: d0(ctx, ctx.coords.axis(a)) for a in (1, 2, 3)}
-    total = zero_form(2, 1, ctx.N)
+    total = None
     for a, b, c, s in EPSILON:
         xa = scalar_form(ctx.coords.axis(a), module_rank=1, algebra_dim=ctx.N)
-        total = total + wedge(xa, wedge(dx[b], dx[c])).scale(s)
+        term = wedge(xa, wedge(dx[b], dx[c])).scale(s)
+        total = term if total is None else total + term
     return total.scale(1.0 / (8.0 * np.pi))
 
 
 def star_integral(f):
     """Integral of f against the fuzzy volume: tr_N f."""
-    f = np.asarray(f, dtype=np.complex128)
-    if not is_square(f):
-        raise ShapeError("star_integral needs a square matrix, got %s" % (f.shape,))
     return normalized_trace(f)
 
 
@@ -110,10 +115,16 @@ def extract_coefficient(F, omega):
 
 
 def gamma_formula(N, sign):
-    """Closed-form fuzzy topological charge gamma_pm(N)."""
+    """Closed-form fuzzy topological charge gamma_pm(N); sign is 1, -1,
+    "plus" or "minus"."""
     if N < 2:
         raise ValueError("N must be >= 2, got %d" % N)
-    s = 1.0 if sign in (1, "plus") else -1.0
+    if sign in (1, "plus"):
+        s = 1.0
+    elif sign in (-1, "minus"):
+        s = -1.0
+    else:
+        raise ValueError("sign must be 1, -1, 'plus' or 'minus', got %r" % (sign,))
     return (1.0 - 1.0 / N**2) ** 1.5 * (N + s * (N**2 - 2)) / (N**2 - 3)
 
 
@@ -121,14 +132,15 @@ def chern_number(projector, ctx, residual_threshold=1e-8):
     """Full charge report for a fuzzy projector in its calculus context."""
     if ctx.coords.spin != projector.spin:
         raise ValueError("context spin does not match projector spin")
-    F = chern_character_form(ctx, projector.realization)
+    F = chern_character_form(ctx, projector)
     omega = volume_form(ctx)
     lam, residual = extract_coefficient(F, omega)
     if residual > residual_threshold:
         raise NonProportionalCurvatureError(
             "curvature not proportional to omega: residual %.3e" % residual
         )
-    c1 = lam * star_integral(np.eye(ctx.N)) / (2.0j * np.pi)
+    # c1 = lambda * star_integral(1) / (2 pi i), and star_integral(1) = tr_N(1)/N = 1
+    c1 = lam / (2.0j * np.pi)
     if abs(c1.imag) > 1e-10:
         raise NonProportionalCurvatureError(
             "charge has imaginary part %.3e" % c1.imag
@@ -143,18 +155,14 @@ def chern_number(projector, ctx, residual_threshold=1e-8):
         gamma_formula=gamma,
         abs_error=abs(c1.real - gamma),
         proportionality_residual=residual,
-        projector_residual=max(
-            projector.idempotency_residual(), projector.selfadjointness_residual()
-        ),
+        projector_residual=max(projector.idempotency, projector.selfadjointness),
     )
 
 
 def report_for(N, sign):
-    """Convenience: build everything for one (N, sign) and report."""
-    from .calculus import CalculusContext
-    from .su2 import SpinLabel, fuzzy_coordinates
-
-    coords = fuzzy_coordinates(SpinLabel.from_dimension(N))
+    """Convenience: build everything for one (N, sign) and report, on banded
+    operators when N > DENSE_MAX_N."""
+    coords = fuzzy_coordinates(SpinLabel.from_dimension(N), banded=N > DENSE_MAX_N)
     ctx = CalculusContext(coords)
     proj = build_fuzzy_projector(coords, sign)
     return chern_number(proj, ctx)

@@ -10,10 +10,10 @@ import sys
 
 import numpy as np
 
-from .bundles import PAULI, build_fuzzy_projector
+from .bundles import build_fuzzy_projector, projector_coefficients, projector_matrix
 from .calculus import CalculusContext, d0, d1, derive, scalar_form, wedge
 from .chern import gamma_formula, report_for, sweep
-from .linalg import commutator, frobenius_norm, kron, normalized_trace
+from .linalg import commutator, frobenius_norm, kron, max_abs, normalized_trace
 from .sphere_oracle import (
     build_quadrature,
     chern_number_commutative,
@@ -67,8 +67,11 @@ def render_reports(reports, fmt):
 
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError("cannot write %s: %s" % (out_path, exc.strerror or exc))
     else:
         sys.stdout.write(text)
 
@@ -99,7 +102,10 @@ def cmd_commutative(args):
         n_polar, n_azimuthal = (int(v) for v in args.grid.split("x"))
     except ValueError:
         raise UsageError("--grid must look like 64x128")
-    grid = build_quadrature(n_polar, n_azimuthal)
+    try:
+        grid = build_quadrature(n_polar, n_azimuthal)
+    except ValueError as exc:
+        raise UsageError("--grid %s: %s" % (args.grid, exc))
     c1 = chern_number_commutative(args.k, args.transpose, grid)
     vol = volume_check(grid)
     row = {
@@ -183,12 +189,8 @@ def _verify_suites(max_n, kappa_perturbation=0.0):
             if kappa_perturbation:
                 # negative-control hook: coefficients from a wrong kappa
                 kap = coords.kappa * (1.0 + kappa_perturbation)
-                beta = sign / np.sqrt(4.0 + kap**2)
-                alpha = (1.0 + beta * kap) / 2.0
-                p = alpha * np.eye(2 * N, dtype=np.complex128)
-                for a in (1, 2, 3):
-                    p += beta * kron(PAULI[a - 1], coords.axis(a))
-                worst = max(worst, float(np.max(np.abs(p @ p - p))))
+                p = projector_matrix(coords, *projector_coefficients(kap, sign))
+                worst = max(worst, max_abs(p @ p - p))
                 continue
             proj = build_fuzzy_projector(coords, sign)
             worst = max(worst, proj.idempotency_residual(),
@@ -223,6 +225,8 @@ def _verify_suites(max_n, kappa_perturbation=0.0):
 
 
 def cmd_verify(args):
+    if args.max_N < 2:
+        raise UsageError("--max-N must be >= 2")
     failures = 0
     for name, passed, detail in _verify_suites(args.max_N, args.perturb_kappa):
         print("%-18s %s  (%s)" % (name, "PASS" if passed else "FAIL", detail))

@@ -1,18 +1,24 @@
-"""Dense complex linear algebra helpers.
+"""Complex linear algebra helpers on dense and banded matrices.
 
 Thin wrappers around numpy that fix the conventions used everywhere else:
 complex128 storage, Hilbert-Schmidt inner products, normalized traces.
+Every helper takes either a dense ndarray or a ``Banded`` matrix and returns
+the same kind, so the calculus built on them runs unchanged on both.
 """
 
 import numpy as np
 
 __all__ = [
+    "Banded",
     "as_matrix",
+    "identity_like",
     "kron",
     "commutator",
     "normalized_trace",
     "hs_inner",
     "frobenius_norm",
+    "max_abs",
+    "partial_trace",
     "is_square",
 ]
 
@@ -21,22 +27,159 @@ class ShapeError(ValueError):
     """Raised when operand dimensions do not match an operation's contract."""
 
 
+class Banded:
+    """Square complex matrix stored by its diagonals.
+
+    ``offsets`` is a sorted integer array and row k of ``data`` is the
+    diagonal at ``offsets[k]``, aligned by row: ``data[k, i] = A[i, i + o]``.
+    Entries whose column falls outside the matrix are zero, so products and
+    sums need no masking. Diagonals that come out exactly zero are dropped.
+    Scalars combine with ``*`` and ``/``; other matrices must be ``Banded``.
+    Traces, inner products, norms, ``kron`` and the module partial trace are
+    the functions of this module, which take dense and banded operands.
+    """
+
+    __array_ufunc__ = None  # ndarray (op) Banded raises TypeError, never broadcasts
+
+    def __init__(self, offsets, data):
+        offsets = np.asarray(offsets, dtype=np.int64)
+        data = np.asarray(data, dtype=np.complex128)
+        keep = (data != 0).any(axis=1)
+        if not keep.all():
+            offsets, data = offsets[keep], data[keep]
+        self.offsets = offsets
+        self.data = data
+        self.shape = (data.shape[1], data.shape[1])
+
+    @classmethod
+    def from_diagonals(cls, n, diagonals):
+        """n x n matrix from {offset: entries}, as ``np.diagonal(A, offset)`` lists them."""
+        offsets = sorted(diagonals)
+        data = np.zeros((len(offsets), n), dtype=np.complex128)
+        for row, o in zip(data, offsets):
+            row[max(0, -o):n - max(0, o)] = diagonals[o]
+        return cls(offsets, data)
+
+    def toarray(self):
+        n = self.shape[0]
+        out = np.zeros(self.shape, dtype=np.complex128)
+        for o, d in zip(self.offsets, self.data):
+            rows = np.arange(max(0, -o), min(n, n - o))
+            out[rows, rows + o] = d[rows]
+        return out
+
+    def _same_shape(self, other):
+        if self.shape != other.shape:
+            raise ShapeError("banded shapes differ: %s and %s" % (self.shape, other.shape))
+        return self.shape[0]
+
+    def __add__(self, other):
+        if not isinstance(other, Banded):
+            return NotImplemented
+        n = self._same_shape(other)
+        if np.array_equal(self.offsets, other.offsets):
+            return Banded(self.offsets, self.data + other.data)
+        offsets = np.union1d(self.offsets, other.offsets)
+        data = np.zeros((len(offsets), n), dtype=np.complex128)
+        data[np.searchsorted(offsets, self.offsets)] = self.data
+        data[np.searchsorted(offsets, other.offsets)] += other.data
+        return Banded(offsets, data)
+
+    def __neg__(self):
+        return Banded(self.offsets, -self.data)
+
+    def __sub__(self, other):
+        if not isinstance(other, Banded):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, c):
+        if isinstance(c, Banded) or np.ndim(c) != 0:
+            return NotImplemented
+        return Banded(self.offsets, c * self.data)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, c):
+        if isinstance(c, Banded) or np.ndim(c) != 0:
+            return NotImplemented
+        return Banded(self.offsets, self.data / c)
+
+    def __matmul__(self, other):
+        # (AB)[i, i + a + b] = sum over a, b of A[i, i + a] B[i + a, i + a + b]
+        if not isinstance(other, Banded):
+            return NotImplemented
+        n = self._same_shape(other)
+        w = int(np.max(np.abs(self.offsets), initial=0))
+        padded = np.zeros((len(other.offsets), n + 2 * w), dtype=np.complex128)
+        padded[:, w:w + n] = other.data
+        sums = self.offsets[:, None] + other.offsets[None, :]
+        offsets = np.unique(sums)
+        targets = np.searchsorted(offsets, sums)
+        data = np.zeros((len(offsets), n), dtype=np.complex128)
+        for a, row, target in zip(self.offsets.tolist(), self.data, targets):
+            data[target] += row * padded[:, w + a:w + a + n]
+        # diagonals at |offset| >= n come out zero and are dropped
+        return Banded(offsets, data)
+
+    def conj(self):
+        return Banded(self.offsets, self.data.conj())
+
+    @property
+    def T(self):
+        # A^T[i, i - o] = A[i - o, i]: diagonal o becomes -o, shifted by o rows
+        n = self.shape[0]
+        data = np.zeros_like(self.data)
+        for row, o, d in zip(data, self.offsets[::-1], self.data[::-1]):
+            if o >= 0:
+                row[o:] = d[:n - o]
+            else:
+                row[:n + o] = d[-o:]
+        return Banded(-self.offsets[::-1], data)
+
+
 def as_matrix(a):
-    """Coerce input to a 2-d complex128 ndarray."""
+    """Coerce input to a 2-d complex128 ndarray; a Banded matrix passes through."""
+    if isinstance(a, Banded):
+        return a
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise ShapeError("expected a 2-d array, got ndim=%d" % m.ndim)
     return m
 
 
+def identity_like(a, n):
+    """The n x n identity, stored like a (dense or banded)."""
+    if isinstance(a, Banded):
+        return Banded.from_diagonals(n, {0: 1.0})
+    return np.eye(n, dtype=np.complex128)
+
+
 def is_square(a):
-    a = np.asarray(a)
-    return a.ndim == 2 and a.shape[0] == a.shape[1]
+    shape = np.shape(a)
+    return len(shape) == 2 and shape[0] == shape[1]
 
 
 def kron(a, b):
-    """Kronecker product with complex128 output."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    """Kronecker product with complex128 output.
+
+    ``b`` may be Banded when ``a`` is a small dense factor; the result is then
+    Banded, in the same block ordering as the dense product.
+    """
+    if isinstance(a, Banded):
+        raise TypeError("kron needs a dense left factor")
+    a = as_matrix(a)
+    if not isinstance(b, Banded):
+        return np.kron(a, as_matrix(b))
+    r, N = a.shape[0], b.shape[0]
+    # block (s, t) of the product is a[s, t] b, at offset (t - s) N
+    pairs = [(s, t) for s in range(r) for t in range(r) if a[s, t] != 0]
+    targets = [(t - s) * N + b.offsets for s, t in pairs]
+    offsets = np.unique(np.concatenate(targets)) if pairs else b.offsets[:0]
+    data = np.zeros((len(offsets), r * N), dtype=np.complex128)
+    for (s, t), target in zip(pairs, targets):
+        data[np.searchsorted(offsets, target), s * N:(s + 1) * N] += a[s, t] * b.data
+    return Banded(offsets, data)
 
 
 def commutator(a, b):
@@ -55,6 +198,8 @@ def normalized_trace(a):
     a = as_matrix(a)
     if not is_square(a):
         raise ShapeError("normalized_trace needs a square matrix, got %s" % (a.shape,))
+    if isinstance(a, Banded):
+        return complex(np.sum(a.data[a.offsets == 0])) / a.shape[0]
     return complex(np.trace(a)) / a.shape[0]
 
 
@@ -64,8 +209,36 @@ def hs_inner(a, b):
     b = as_matrix(b)
     if a.shape != b.shape:
         raise ShapeError("hs_inner needs equal shapes, got %s and %s" % (a.shape, b.shape))
+    if isinstance(a, Banded) or isinstance(b, Banded):
+        if not (isinstance(a, Banded) and isinstance(b, Banded)):
+            raise TypeError("hs_inner needs two dense or two Banded matrices")
+        _, i, j = np.intersect1d(a.offsets, b.offsets, return_indices=True)
+        a, b = a.data[i], b.data[j]
     return complex(np.sum(np.conj(a) * b))
 
 
 def frobenius_norm(a):
-    return float(np.linalg.norm(as_matrix(a)))
+    a = as_matrix(a)
+    return float(np.linalg.norm(a.data if isinstance(a, Banded) else a))
+
+
+def max_abs(a):
+    """Largest entry modulus."""
+    a = as_matrix(a)
+    return float(np.max(np.abs(a.data if isinstance(a, Banded) else a), initial=0.0))
+
+
+def partial_trace(a, r):
+    """Trace over the C^r factor of C^r (x) C^N (block ordering of kron)."""
+    a = as_matrix(a)
+    N = a.shape[0] // r
+    if not isinstance(a, Banded):
+        return np.einsum("iaib->ab", a.reshape(r, N, r, N))
+    # diagonal blocks only hold offsets below N; sum the r blocks row by row
+    inside = np.abs(a.offsets) < N
+    offsets = a.offsets[inside]
+    data = a.data[inside].reshape(len(offsets), r, N).sum(axis=1)
+    # entries whose column leaves the block belong to off-diagonal blocks
+    cols = np.arange(N)[None, :] + offsets[:, None]
+    data[(cols < 0) | (cols >= N)] = 0.0
+    return Banded(offsets, data)

@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import Banded
+
 __all__ = ["SpinLabel", "FuzzyCoordinates", "build_irrep", "fuzzy_coordinates"]
 
 
@@ -47,20 +49,25 @@ class SpinLabel:
         return cls(twice_j=N - 1)
 
 
-def build_irrep(spin):
+def build_irrep(spin, banded=False):
     """Return (J1, J2, J3) of the irreducible spin-j representation.
 
     J3 is diagonal with entries j, j-1, ..., -j; ladder matrix elements use
     the Condon-Shortley convention <m+1|J+|m> = sqrt(j(j+1) - m(m+1)).
+    With ``banded`` the matrices are ``Banded``, otherwise dense.
     """
     j = spin.j
     N = spin.N
     m = j - np.arange(N)  # j, j-1, ..., -j
-    jz = np.diag(m.astype(np.complex128))
     # J+ |m> = sqrt(j(j+1) - m(m+1)) |m+1>; row index m+1 sits above row m
     ladder = np.sqrt(j * (j + 1.0) - m[1:] * (m[1:] + 1.0))
-    jplus = np.zeros((N, N), dtype=np.complex128)
-    jplus[np.arange(N - 1), np.arange(1, N)] = ladder
+    if banded:
+        jz = Banded.from_diagonals(N, {0: m})
+        jplus = Banded.from_diagonals(N, {1: ladder})
+    else:
+        jz = np.diag(m.astype(np.complex128))
+        jplus = np.zeros((N, N), dtype=np.complex128)
+        jplus[np.arange(N - 1), np.arange(1, N)] = ladder
     jminus = jplus.conj().T
     j1 = (jplus + jminus) / 2.0
     j2 = (jplus - jminus) / 2.0j
@@ -69,12 +76,13 @@ def build_irrep(spin):
 
 @dataclass(frozen=True)
 class FuzzyCoordinates:
-    """The three coordinates X_a = kappa * J_a of the fuzzy sphere."""
+    """The three coordinates X_a = kappa * J_a of the fuzzy sphere, as dense
+    ndarrays or as ``Banded`` matrices."""
 
     spin: SpinLabel
-    X1: np.ndarray = field(repr=False)
-    X2: np.ndarray = field(repr=False)
-    X3: np.ndarray = field(repr=False)
+    X1: object = field(repr=False)
+    X2: object = field(repr=False)
+    X3: object = field(repr=False)
 
     @property
     def kappa(self):
@@ -89,8 +97,8 @@ class FuzzyCoordinates:
         return (self.X1, self.X2, self.X3)[a - 1]
 
 
-def fuzzy_coordinates(spin):
-    """Build the fuzzy coordinates for the given spin."""
-    j1, j2, j3 = build_irrep(spin)
+def fuzzy_coordinates(spin, banded=False):
+    """Build the fuzzy coordinates for the given spin, dense or ``banded``."""
+    j1, j2, j3 = build_irrep(spin, banded)
     k = spin.kappa
     return FuzzyCoordinates(spin=spin, X1=k * j1, X2=k * j2, X3=k * j3)

@@ -8,6 +8,7 @@ from fuzzychern.bundles import (
     build_fuzzy_projector,
     chern_character_form,
     curvature,
+    projector_coefficients,
     solve_projector_params,
     tensor_power_projector,
 )
@@ -81,6 +82,41 @@ def test_fuzzy_projector_invariants(N, sign):
     assert proj.selfadjointness_residual() <= 1e-12
     assert proj.ch0().real == pytest.approx(1.0 + sign / N, abs=1e-12)
     assert abs(proj.beta * coords.kappa - sign / N) <= 1e-13
+
+
+@pytest.mark.parametrize("N", [2, 5, 33])
+@pytest.mark.parametrize("banded", [False, True])
+def test_fuzzy_projector_stores_its_residuals(N, banded):
+    coords = fuzzy_coordinates(SpinLabel.from_dimension(N), banded=banded)
+    for sign in (1, -1):
+        proj = build_fuzzy_projector(coords, sign)
+        assert (proj.alpha, proj.beta) == projector_coefficients(coords.kappa, sign)
+        p = proj.realization
+        # dense: the very value the old per-call recomputation gave; banded:
+        # the same up to the order of the roundings in p @ p
+        tol = 0.0
+        if banded:
+            p, tol = p.toarray(), 1e-15
+        assert abs(proj.idempotency_residual() - np.max(np.abs(p @ p - p))) <= tol
+        assert abs(proj.selfadjointness_residual() - np.max(np.abs(p - p.conj().T))) <= tol
+
+
+def test_projector_coefficients_domain():
+    with pytest.raises(ValueError):
+        projector_coefficients(0.0, 1)
+    with pytest.raises(ValueError):
+        projector_coefficients(0.5, 0)
+
+
+@pytest.mark.parametrize("banded", [False, True])
+def test_curvature_of_projector_equals_curvature_of_its_matrix(banded):
+    # a validated FuzzyProjector and its raw realization give the same form
+    coords = fuzzy_coordinates(SpinLabel.from_dimension(4), banded=banded)
+    ctx = CalculusContext(coords)
+    proj = build_fuzzy_projector(coords, 1)
+    from_proj = curvature(ctx, proj)
+    from_matrix = curvature(ctx, proj.realization)
+    assert (from_proj - from_matrix).max_entry() == 0.0
 
 
 def test_bott_projector_north_pole():

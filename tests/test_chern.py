@@ -4,6 +4,7 @@ import pytest
 from fuzzychern.bundles import build_fuzzy_projector
 from fuzzychern.calculus import CalculusContext
 from fuzzychern.chern import (
+    DENSE_MAX_N,
     DegenerateVolumeError,
     chern_number,
     extract_coefficient,
@@ -111,6 +112,12 @@ def test_gamma_domain():
         gamma_formula(1, "plus")
 
 
+@pytest.mark.parametrize("sign", ["+", "-", 2, 0, None, "PLUS"])
+def test_gamma_rejects_unknown_sign(sign):
+    with pytest.raises(ValueError):
+        gamma_formula(4, sign)
+
+
 def test_gamma_commutative_limit():
     for N in range(4, 129):
         assert abs(gamma_formula(N, "plus") - 1.0) <= 2.0 / N
@@ -160,3 +167,46 @@ def test_sweep_ordering():
     assert [(r.N, r.sign) for r in reports] == [
         (2, "plus"), (2, "minus"), (3, "plus"), (3, "minus"), (4, "plus"), (4, "minus"),
     ]
+
+
+def report_on(N, sign, banded):
+    coords = fuzzy_coordinates(SpinLabel.from_dimension(N), banded=banded)
+    return chern_number(build_fuzzy_projector(coords, sign), CalculusContext(coords))
+
+
+def test_report_for_switches_to_banded_above_crossover():
+    assert DENSE_MAX_N >= 33  # verify --max-N 32 stays on the dense path
+    for N in (DENSE_MAX_N, DENSE_MAX_N + 1):
+        banded = N > DENSE_MAX_N
+        assert report_for(N, 1) == report_on(N, 1, banded)
+
+
+@pytest.mark.parametrize("N", [2, 3, 8, 33, 64, 128, 256])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_banded_report_matches_dense(N, sign):
+    dense = report_on(N, sign, banded=False)
+    banded = report_on(N, sign, banded=True)
+    assert abs(banded.c1_computed - dense.c1_computed) <= 1e-12
+    assert abs(banded.ch0 - dense.ch0) <= 1e-12
+    assert banded.abs_error <= 1e-9
+    assert banded.proportionality_residual <= 1e-10
+    assert banded.projector_residual <= 1e-12
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_report_for_large_n_in_linear_memory(sign):
+    import tracemalloc
+
+    N = 4096
+    tracemalloc.start()
+    try:
+        r = report_for(N, sign)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(r.c1_computed - gamma_formula(N, sign)) <= 1e-9
+    assert r.proportionality_residual <= 1e-8
+    assert r.projector_residual <= 1e-12
+    # one dense N x N complex matrix takes 16 N^2 bytes (268 MB here); the
+    # banded pipeline peaks near 11 MB, so allow an eighth of one matrix
+    assert peak < 16 * N * N / 8

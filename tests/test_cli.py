@@ -119,3 +119,15 @@ def test_verify_negative_control(capsys):
     code, out, _ = run(capsys, "verify", "--max-N", "4", "--perturb-kappa", "0.05")
     assert code == 1
     assert any("bundles" in l and "FAIL" in l for l in out.splitlines())
+
+
+@pytest.mark.parametrize("argv", [
+    ("commutative", "--grid", "1x4"),
+    ("verify", "--max-N", "1"),
+    ("fuzzy", "--N", "2", "--out", "/nonexistent/x"),
+])
+def test_domain_errors_exit_2_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from fuzzychern.linalg import (
+    Banded,
     ShapeError,
     commutator,
     frobenius_norm,
     hs_inner,
     kron,
+    max_abs,
     normalized_trace,
+    partial_trace,
 )
 
 SIGMA3 = np.diag([1.0, -1.0])
@@ -112,3 +115,84 @@ def test_hs_inner_matches_norm():
 def test_double_adjoint_exact():
     a = randc(6)
     assert np.array_equal(a.conj().T.conj().T, a)
+
+
+# Banded storage, checked against its own dense expansion
+
+
+def random_banded(n, offsets):
+    return Banded.from_diagonals(
+        n, {o: randc(1, n - abs(o))[0] for o in offsets if abs(o) < n}
+    )
+
+
+BANDED_CASES = [
+    (1, (0,), (0,)),
+    (5, (-1, 0, 1), (-1, 0, 1)),
+    (7, (-2, 0, 3), (-6, -1, 1, 4)),
+    (9, (-8, 5), (-3, 2, 8)),
+    (12, (-11, -4, 0, 7), (-5, 0, 5, 11)),
+]
+
+
+@pytest.mark.parametrize("n,offs_a,offs_b", BANDED_CASES)
+def test_banded_matches_dense(n, offs_a, offs_b):
+    a, b = random_banded(n, offs_a), random_banded(n, offs_b)
+    A, B = a.toarray(), b.toarray()
+    assert np.max(np.abs((a @ b).toarray() - A @ B)) <= 1e-13
+    assert np.array_equal((a + b).toarray(), A + B)
+    assert np.array_equal((a - b).toarray(), A - B)
+    assert np.array_equal((-a).toarray(), -A)
+    assert np.array_equal((2.5j * a).toarray(), 2.5j * A)
+    assert np.array_equal((a / 3.0).toarray(), A / 3.0)
+    assert np.array_equal(a.conj().T.toarray(), A.conj().T)
+    assert normalized_trace(a) == pytest.approx(np.trace(A) / n, abs=1e-14)
+    assert hs_inner(a, b) == pytest.approx(np.sum(A.conj() * B), abs=1e-12)
+    assert max_abs(a) == np.max(np.abs(A))
+    assert frobenius_norm(a) == pytest.approx(np.linalg.norm(A), rel=1e-14)
+    assert np.array_equal(commutator(a, b).toarray(), (a @ b - b @ a).toarray())
+
+
+def test_banded_from_diagonals_layout():
+    b = Banded.from_diagonals(4, {-1: [1, 2, 3], 2: [4, 5]})
+    expected = np.diag([1, 2, 3], -1) + np.diag([4, 5], 2)
+    assert np.array_equal(b.toarray(), expected)
+    assert list(b.offsets) == [-1, 2]
+
+
+def test_banded_drops_zero_diagonals():
+    a = random_banded(6, (-1, 0, 2))
+    assert len((a - a).offsets) == 0
+    assert (a - a).shape == (6, 6)
+    assert max_abs(a - a) == 0.0
+
+
+@pytest.mark.parametrize("small", [
+    np.eye(2),
+    np.array([[0, 1], [1, 0]]),
+    np.array([[0, -1j], [1j, 0]]),
+    np.array([[1.5, 0, 2j], [0, 0, 1], [-1, 3, 0]]),
+])
+def test_banded_kron_with_dense_factor(small):
+    b = random_banded(5, (-1, 0, 1, 3))
+    assert np.array_equal(kron(small, b).toarray(), kron(small, b.toarray()))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_banded_partial_trace(r):
+    N = 5
+    c = random_banded(r * N, range(-r * N + 1, r * N, 2))
+    C = c.toarray().reshape(r, N, r, N)
+    assert np.max(np.abs(partial_trace(c, r).toarray() - np.einsum("iaib->ab", C))) <= 1e-14
+
+
+def test_banded_refuses_dense_operands():
+    b = random_banded(3, (0, 1))
+    with pytest.raises(TypeError):
+        b @ np.eye(3)
+    with pytest.raises(TypeError):
+        np.eye(3) + b
+    with pytest.raises(TypeError):
+        kron(b, np.eye(2))
+    with pytest.raises(ShapeError):
+        b @ random_banded(4, (0,))
