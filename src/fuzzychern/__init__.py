@@ -9,13 +9,14 @@ from .bundles import (
     solve_projector_params,
     tensor_power_projector,
 )
-from .calculus import CalculusContext, GradedForm, d0, d1, derive, module_trace, wedge
+from .calculus import GradedForm, d0, d1, derive, module_trace, wedge
 from .chern import (
     ChernReport,
     chern_number,
     extract_coefficient,
     gamma_formula,
     report_for,
+    reports_for,
     star_integral,
     sweep,
     volume_form,

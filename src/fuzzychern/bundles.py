@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import d0, module_trace, scalar_form, wedge
-from .linalg import as_matrix, identity_like, kron, max_abs, normalized_trace
+from .linalg import InvariantError, as_matrix, identity_like, kron, max_abs, normalized_trace
 
 __all__ = [
     "PAULI",
@@ -39,7 +39,7 @@ class OffSphereError(ValueError):
     """Point does not lie on the unit sphere."""
 
 
-class ProjectorConsistencyError(RuntimeError):
+class ProjectorConsistencyError(InvariantError):
     """Constructed projector violates its own invariants; representation bug."""
 
 
@@ -121,12 +121,6 @@ class FuzzyProjector:
         """Rank component: module trace then normalized algebra trace."""
         return normalized_trace(self.realization) * 2.0
 
-    def idempotency_residual(self):
-        return self.idempotency
-
-    def selfadjointness_residual(self):
-        return self.selfadjointness
-
 
 def projector_matrix(coords, alpha, beta):
     """alpha + beta sigma_a (x) X_a, stored like the coordinates."""
@@ -177,7 +171,7 @@ def tensor_power_projector(point, k):
     return out
 
 
-def curvature(ctx, p):
+def curvature(coords, p):
     """Grassmann-connection curvature p (dp)(dp) as a matrix-valued two-form.
 
     ``p`` is a ``FuzzyProjector``, whose invariants were checked when it was
@@ -189,12 +183,12 @@ def curvature(ctx, p):
         p = as_matrix(p)
         if max_abs(p @ p - p) > 1e-10:
             raise ValueError("curvature needs an idempotent input")
-    dp = d0(ctx, p)
+    dp = d0(coords, p)
     n = dp.module_rank
-    return wedge(scalar_form(p, module_rank=n, algebra_dim=ctx.N), wedge(dp, dp))
+    return wedge(scalar_form(p, module_rank=n, algebra_dim=coords.N), wedge(dp, dp))
 
 
-def chern_character_form(ctx, p):
+def chern_character_form(coords, p):
     """Degree-2 Chern character component: module trace of p (dp)(dp), for a
     ``FuzzyProjector`` or a raw matrix as in ``curvature``."""
-    return module_trace(curvature(ctx, p))
+    return module_trace(curvature(coords, p))

@@ -1,7 +1,8 @@
 """Derivation-based graded differential calculus over the fuzzy algebra.
 
 Forms of degree 0..3 carry coefficients in the basis one-forms theta^a dual
-to the derivations e_a = (1/kappa) ad X_a. Coefficients are (n*N) x (n*N)
+to the derivations e_a = (1/kappa) ad X_a; the operators take the
+``FuzzyCoordinates`` X_a as ``coords``. Coefficients are (n*N) x (n*N)
 matrices where n is the module rank (1 for scalar forms, 2 for
 projector-valued forms); products keep the noncommutative order. The
 coefficients are dense or ``Banded``, as the coordinates are.
@@ -20,7 +21,6 @@ from .linalg import ShapeError, as_matrix, frobenius_norm, kron, max_abs, partia
 
 __all__ = [
     "GradedForm",
-    "CalculusContext",
     "derive",
     "d0",
     "d1",
@@ -117,55 +117,35 @@ def scalar_form(coeff, module_rank=1, algebra_dim=None):
     return GradedForm(0, module_rank, algebra_dim, (coeff,))
 
 
-@dataclass(frozen=True)
-class CalculusContext:
-    """Holds the fuzzy coordinates that define the three derivations."""
-
-    coords: object  # FuzzyCoordinates
-
-    @property
-    def N(self):
-        return self.coords.N
-
-    @property
-    def kappa(self):
-        return self.coords.kappa
-
-    def generator(self, axis, module_rank=1):
-        """X_a lifted to the rank-n module: I_n (x) X_a."""
-        x = self.coords.axis(axis)
-        if module_rank == 1:
-            return x
-        return kron(np.eye(module_rank), x)
-
-
-def derive(ctx, axis, f, module_rank=None):
-    """e_a(f) = (1/kappa) [X_a, f], acting blockwise on rank-n elements."""
+def derive(coords, axis, f, module_rank=None):
+    """e_a(f) = (1/kappa) [I_n (x) X_a, f] on an element f of the rank-n module."""
     f = as_matrix(f)
     if f.shape[0] != f.shape[1]:
         raise ShapeError("derive needs a square matrix, got %s" % (f.shape,))
     if module_rank is None:
-        if f.shape[0] % ctx.N != 0:
+        if f.shape[0] % coords.N != 0:
             raise ShapeError(
                 "dimension %d not a multiple of algebra dimension %d"
-                % (f.shape[0], ctx.N)
+                % (f.shape[0], coords.N)
             )
-        module_rank = f.shape[0] // ctx.N
-    x = ctx.generator(axis, module_rank)
-    return (x @ f - f @ x) / ctx.kappa
+        module_rank = f.shape[0] // coords.N
+    x = coords.axis(axis)
+    if module_rank != 1:
+        x = kron(np.eye(module_rank), x)
+    return (x @ f - f @ x) / coords.kappa
 
 
-def d0(ctx, f):
+def d0(coords, f):
     """Exterior derivative of a degree-0 element: df = e_a(f) theta^a."""
     f = as_matrix(f)
-    if f.shape[0] != f.shape[1] or f.shape[0] % ctx.N != 0:
+    if f.shape[0] != f.shape[1] or f.shape[0] % coords.N != 0:
         raise ShapeError("d0 needs a square n*N matrix, got %s" % (f.shape,))
-    n = f.shape[0] // ctx.N
-    comps = tuple(derive(ctx, a, f, module_rank=n) for a in (1, 2, 3))
-    return GradedForm(1, n, ctx.N, comps)
+    n = f.shape[0] // coords.N
+    comps = tuple(derive(coords, a, f, module_rank=n) for a in (1, 2, 3))
+    return GradedForm(1, n, coords.N, comps)
 
 
-def d1(ctx, omega):
+def d1(coords, omega):
     """Exterior derivative of a one-form.
 
     (d omega)_{ab} = e_a(omega_b) - e_b(omega_a) - i eps_{abc} omega_c,
@@ -177,7 +157,7 @@ def d1(ctx, omega):
     w1, w2, w3 = omega.components
 
     def e(a, f):
-        return derive(ctx, a, f, module_rank=n)
+        return derive(coords, a, f, module_rank=n)
 
     c12 = e(1, w2) - e(2, w1) - 1j * w3
     c13 = e(1, w3) - e(3, w1) + 1j * w2

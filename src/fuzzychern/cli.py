@@ -6,23 +6,21 @@ Exit codes: 0 success, 1 invariant/integrity failure, 2 usage error.
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
 
-from .bundles import build_fuzzy_projector, projector_coefficients, projector_matrix
-from .calculus import CalculusContext, d0, d1, derive, scalar_form, wedge
-from .chern import gamma_formula, report_for, sweep
-from .linalg import commutator, frobenius_norm, kron, max_abs, normalized_trace
-from .sphere_oracle import (
-    build_quadrature,
-    chern_number_commutative,
-    curvature_density,
-    volume_check,
-)
+from .bundles import MAX_TENSOR_POWER, projector_coefficients, projector_matrix
+from .calculus import d0, d1, derive, scalar_form, wedge
+from .chern import REPORT_BYTES_PER_N, gamma_formula, reports_for, sweep
+from .linalg import InvariantError, commutator, frobenius_norm, kron, max_abs, normalized_trace
+from .sphere_oracle import build_quadrature, chern_number_commutative, volume_check
 from .su2 import SpinLabel, fuzzy_coordinates
 
-REPORT_COLUMNS = ("N", "sign", "ch0", "c1_computed", "gamma_formula", "abs_error", "residual")
+# column header -> ChernReport attribute
+REPORT_COLUMNS = {c: c for c in ("N", "sign", "ch0", "c1_computed", "gamma_formula", "abs_error")}
+REPORT_COLUMNS["residual"] = "proportionality_residual"
 
 
 def _fmt(x):
@@ -31,20 +29,8 @@ def _fmt(x):
     return str(x)
 
 
-def _report_row(r):
-    return {
-        "N": r.N,
-        "sign": r.sign,
-        "ch0": r.ch0,
-        "c1_computed": r.c1_computed,
-        "gamma_formula": r.gamma_formula,
-        "abs_error": r.abs_error,
-        "residual": r.proportionality_residual,
-    }
-
-
 def render_reports(reports, fmt):
-    rows = [_report_row(r) for r in reports]
+    rows = [{c: getattr(r, a) for c, a in REPORT_COLUMNS.items()} for r in reports]
     if fmt == "json":
         return json.dumps(
             [{k: (v if isinstance(v, (int, str)) else float(_fmt(v))) for k, v in row.items()}
@@ -76,11 +62,21 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
+def _check_memory(option, N):
+    """Refuse an N whose report would need more than the physical memory."""
+    need = N * REPORT_BYTES_PER_N
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise UsageError("%s %d needs about %d MB, more than the %d MB of physical memory"
+                         % (option, N, need // 10**6, have // 10**6))
+
+
 def cmd_fuzzy(args):
     if args.N < 2:
         raise UsageError("--N must be >= 2")
+    _check_memory("--N", args.N)
     signs = {"plus": [1], "minus": [-1], "both": [1, -1]}[args.sign]
-    reports = [report_for(args.N, s) for s in signs]
+    reports = reports_for(args.N, signs)
     _emit(render_reports(reports, args.format), args.out)
     return 0
 
@@ -90,14 +86,15 @@ def cmd_sweep(args):
         raise UsageError("empty N range")
     if args.frm < 2:
         raise UsageError("--from must be >= 2")
+    _check_memory("--to", args.to)
     reports = sweep(range(args.frm, args.to + 1))
     _emit(render_reports(reports, args.format), args.out)
     return 0
 
 
 def cmd_commutative(args):
-    if not 1 <= args.k <= 12:
-        raise UsageError("--k must be in 1..12")
+    if not 1 <= args.k <= MAX_TENSOR_POWER:
+        raise UsageError("--k must be in 1..%d" % MAX_TENSOR_POWER)
     try:
         n_polar, n_azimuthal = (int(v) for v in args.grid.split("x"))
     except ValueError:
@@ -166,44 +163,37 @@ def _verify_suites(max_n, kappa_perturbation=0.0):
     worst = 0.0
     for N in (2, 3, 4, 8):
         coords = fuzzy_coordinates(SpinLabel.from_dimension(N))
-        ctx = CalculusContext(coords)
         for _ in range(5):
             f = rand(N)
-            worst = max(worst, d1(ctx, d0(ctx, f)).max_entry() / frobenius_norm(f))
+            worst = max(worst, d1(coords, d0(coords, f)).max_entry() / frobenius_norm(f))
             g = rand(N)
-            leib = d0(ctx, f @ g) - (
-                wedge(d0(ctx, f), scalar_form(g)) + wedge(scalar_form(f), d0(ctx, g))
+            leib = d0(coords, f @ g) - (
+                wedge(d0(coords, f), scalar_form(g)) + wedge(scalar_form(f), d0(coords, g))
             )
             worst = max(worst, leib.max_entry())
             for (p, q), (r, s) in {(1, 2): (3, 1), (2, 3): (1, 1), (1, 3): (2, -1)}.items():
-                br = derive(ctx, p, derive(ctx, q, f)) - derive(ctx, q, derive(ctx, p, f)) \
-                    - 1j * s * derive(ctx, r, f)
+                br = derive(coords, p, derive(coords, q, f)) \
+                    - derive(coords, q, derive(coords, p, f)) - 1j * s * derive(coords, r, f)
                 worst = max(worst, np.max(np.abs(br)))
     yield "diff-calculus", worst <= 1e-11, "max residual %.3e" % worst
 
-    # projectors (idempotency / self-adjointness / rank component)
+    # projectors (idempotency / self-adjointness / rank component) and
+    # fuzzy charges, from one report per (N, sign)
+    reports = sweep(range(2, max_n + 1))
     worst = 0.0
-    for N in range(2, max_n + 1):
-        coords = fuzzy_coordinates(SpinLabel.from_dimension(N))
-        for sign in (1, -1):
-            if kappa_perturbation:
-                # negative-control hook: coefficients from a wrong kappa
-                kap = coords.kappa * (1.0 + kappa_perturbation)
-                p = projector_matrix(coords, *projector_coefficients(kap, sign))
-                worst = max(worst, max_abs(p @ p - p))
-                continue
-            proj = build_fuzzy_projector(coords, sign)
-            worst = max(worst, proj.idempotency_residual(),
-                        proj.selfadjointness_residual(),
-                        abs(proj.ch0().real - (1.0 + sign / N)))
+    for r in reports:
+        sign = 1 if r.sign == "plus" else -1
+        if kappa_perturbation:
+            # negative-control hook: coefficients from a wrong kappa
+            coords = fuzzy_coordinates(SpinLabel.from_dimension(r.N))
+            kap = coords.kappa * (1.0 + kappa_perturbation)
+            p = projector_matrix(coords, *projector_coefficients(kap, sign))
+            worst = max(worst, max_abs(p @ p - p))
+        else:
+            worst = max(worst, r.projector_residual, abs(r.ch0 - (1.0 + sign / r.N)))
     yield "bundles", worst <= 1e-12, "max residual %.3e" % worst
 
-    # fuzzy charges
-    worst = 0.0
-    for N in range(2, max_n + 1):
-        for sign in (1, -1):
-            r = report_for(N, sign)
-            worst = max(worst, r.abs_error, r.proportionality_residual)
+    worst = max(max(r.abs_error, r.proportionality_residual) for r in reports)
     yield "chern-integration", worst <= 1e-9, "max residual %.3e" % worst
 
     # commutative oracle
@@ -286,6 +276,9 @@ def main(argv=None):
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bundles import MAX_TENSOR_POWER, PAULI
+from .linalg import InvariantError
 
 __all__ = [
     "QuadratureGrid",
@@ -22,7 +23,7 @@ __all__ = [
 ]
 
 
-class QuadratureIntegrityError(RuntimeError):
+class QuadratureIntegrityError(InvariantError):
     """Imaginary residue of a real quantity exceeded tolerance."""
 
 

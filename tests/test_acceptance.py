@@ -11,7 +11,7 @@ from fuzzychern.bundles import (
     build_fuzzy_projector,
     solve_projector_params,
 )
-from fuzzychern.calculus import CalculusContext, d0, d1, derive, scalar_form, wedge
+from fuzzychern.calculus import d0, d1, derive, scalar_form, wedge
 from fuzzychern.chern import gamma_formula, report_for
 from fuzzychern.linalg import frobenius_norm
 from fuzzychern.sphere_oracle import (
@@ -61,8 +61,8 @@ def test_criterion_3_projector_identities():
             p = build_fuzzy_projector(coords, sign)
             worst = max(
                 worst,
-                p.idempotency_residual(),
-                p.selfadjointness_residual(),
+                p.idempotency,
+                p.selfadjointness,
                 abs(p.ch0().real - (1.0 + sign / N)),
             )
     report("3 projector identities N<=64", worst <= 1e-12, "max residual %.2e" % worst)
@@ -94,24 +94,24 @@ def test_criterion_5_calculus_laws():
     worst_d2 = worst_bracket = worst_sandwich = 0.0
     pairs = {(1, 2): (3, 1), (2, 3): (1, 1), (1, 3): (2, -1)}
     for N in (2, 3, 4, 8):
-        ctx = CalculusContext(fuzzy_coordinates(SpinLabel.from_dimension(N)))
+        coords = fuzzy_coordinates(SpinLabel.from_dimension(N))
         for _ in range(20):
             f = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
             worst_d2 = max(
-                worst_d2, d1(ctx, d0(ctx, f)).max_entry() / frobenius_norm(f)
+                worst_d2, d1(coords, d0(coords, f)).max_entry() / frobenius_norm(f)
             )
             for (a, b), (c, s) in pairs.items():
                 res = (
-                    derive(ctx, a, derive(ctx, b, f))
-                    - derive(ctx, b, derive(ctx, a, f))
-                    - 1j * s * derive(ctx, c, f)
+                    derive(coords, a, derive(coords, b, f))
+                    - derive(coords, b, derive(coords, a, f))
+                    - 1j * s * derive(coords, c, f)
                 )
                 worst_bracket = max(worst_bracket, np.max(np.abs(res)))
         for sign in (1, -1):
-            p = build_fuzzy_projector(ctx.coords, sign).realization
+            p = build_fuzzy_projector(coords, sign).realization
             pform = scalar_form(p, module_rank=2, algebra_dim=N)
             worst_sandwich = max(
-                worst_sandwich, wedge(pform, wedge(d0(ctx, p), pform)).max_entry()
+                worst_sandwich, wedge(pform, wedge(d0(coords, p), pform)).max_entry()
             )
     # Bott projector: analytic chart derivatives (p is affine in x)
     worst_bott = 0.0

@@ -12,7 +12,7 @@ from fuzzychern.bundles import (
     solve_projector_params,
     tensor_power_projector,
 )
-from fuzzychern.calculus import CalculusContext, d0, scalar_form, wedge
+from fuzzychern.calculus import d0, scalar_form, wedge
 from fuzzychern.su2 import SpinLabel, fuzzy_coordinates
 
 rng = np.random.default_rng(2718)
@@ -78,8 +78,8 @@ def test_fuzzy_projector_n3_plus():
 def test_fuzzy_projector_invariants(N, sign):
     coords = fuzzy_coordinates(SpinLabel.from_dimension(N))
     proj = build_fuzzy_projector(coords, sign)
-    assert proj.idempotency_residual() <= 1e-12
-    assert proj.selfadjointness_residual() <= 1e-12
+    assert proj.idempotency <= 1e-12
+    assert proj.selfadjointness <= 1e-12
     assert proj.ch0().real == pytest.approx(1.0 + sign / N, abs=1e-12)
     assert abs(proj.beta * coords.kappa - sign / N) <= 1e-13
 
@@ -97,8 +97,8 @@ def test_fuzzy_projector_stores_its_residuals(N, banded):
         tol = 0.0
         if banded:
             p, tol = p.toarray(), 1e-15
-        assert abs(proj.idempotency_residual() - np.max(np.abs(p @ p - p))) <= tol
-        assert abs(proj.selfadjointness_residual() - np.max(np.abs(p - p.conj().T))) <= tol
+        assert abs(proj.idempotency - np.max(np.abs(p @ p - p))) <= tol
+        assert abs(proj.selfadjointness - np.max(np.abs(p - p.conj().T))) <= tol
 
 
 def test_projector_coefficients_domain():
@@ -112,10 +112,9 @@ def test_projector_coefficients_domain():
 def test_curvature_of_projector_equals_curvature_of_its_matrix(banded):
     # a validated FuzzyProjector and its raw realization give the same form
     coords = fuzzy_coordinates(SpinLabel.from_dimension(4), banded=banded)
-    ctx = CalculusContext(coords)
     proj = build_fuzzy_projector(coords, 1)
-    from_proj = curvature(ctx, proj)
-    from_matrix = curvature(ctx, proj.realization)
+    from_proj = curvature(coords, proj)
+    from_matrix = curvature(coords, proj.realization)
     assert (from_proj - from_matrix).max_entry() == 0.0
 
 
@@ -169,25 +168,22 @@ def test_tensor_power_bounds():
 
 def test_curvature_of_identity_vanishes():
     coords = fuzzy_coordinates(SpinLabel.from_dimension(3))
-    ctx = CalculusContext(coords)
-    assert curvature(ctx, np.eye(3)).max_entry() == 0.0
+    assert curvature(coords, np.eye(3)).max_entry() == 0.0
 
 
 def test_curvature_rejects_non_idempotent():
     coords = fuzzy_coordinates(SpinLabel.from_dimension(3))
-    ctx = CalculusContext(coords)
     with pytest.raises(ValueError):
-        curvature(ctx, 0.3 * np.eye(3))
+        curvature(coords, 0.3 * np.eye(3))
 
 
 @pytest.mark.parametrize("N", [2, 3, 5, 8])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_p_dp_p_vanishes(N, sign):
     coords = fuzzy_coordinates(SpinLabel.from_dimension(N))
-    ctx = CalculusContext(coords)
     p = build_fuzzy_projector(coords, sign).realization
     pform = scalar_form(p, module_rank=2, algebra_dim=N)
-    sandwich = wedge(pform, wedge(d0(ctx, p), pform))
+    sandwich = wedge(pform, wedge(d0(coords, p), pform))
     assert sandwich.max_entry() <= 1e-12
 
 
@@ -197,8 +193,7 @@ def test_transposed_fuzzy_projector_experiment():
     from fuzzychern.chern import extract_coefficient, volume_form
 
     coords = fuzzy_coordinates(SpinLabel.from_dimension(4))
-    ctx = CalculusContext(coords)
     pt = build_fuzzy_projector(coords, 1).realization.T
     assert np.max(np.abs(pt @ pt - pt)) <= 1e-12
-    _, residual = extract_coefficient(chern_character_form(ctx, pt), volume_form(ctx))
+    _, residual = extract_coefficient(chern_character_form(coords, pt), volume_form(coords))
     assert residual <= 1e-10

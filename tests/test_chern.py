@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from fuzzychern.bundles import build_fuzzy_projector
-from fuzzychern.calculus import CalculusContext
 from fuzzychern.chern import (
     DENSE_MAX_N,
     DegenerateVolumeError,
@@ -10,6 +9,7 @@ from fuzzychern.chern import (
     extract_coefficient,
     gamma_formula,
     report_for,
+    reports_for,
     star_integral,
     sweep,
     volume_form,
@@ -19,8 +19,8 @@ from fuzzychern.su2 import SpinLabel, fuzzy_coordinates
 rng = np.random.default_rng(31415)
 
 
-def make_ctx(N):
-    return CalculusContext(fuzzy_coordinates(SpinLabel.from_dimension(N)))
+def make_coords(N):
+    return fuzzy_coordinates(SpinLabel.from_dimension(N))
 
 
 def test_star_integral_identity():
@@ -29,8 +29,8 @@ def test_star_integral_identity():
 
 
 def test_star_integral_traceless():
-    ctx = make_ctx(4)
-    assert abs(star_integral(ctx.coords.X3)) <= 1e-13
+    coords = make_coords(4)
+    assert abs(star_integral(coords.X3)) <= 1e-13
 
 
 def test_star_integral_linearity():
@@ -41,43 +41,42 @@ def test_volume_form_components_selfadjoint():
     # each eps contraction carries two factors of i (one per coordinate
     # differential), so the components come out exactly self-adjoint
     for N in (2, 3, 5):
-        for c in volume_form(make_ctx(N)).components:
+        for c in volume_form(make_coords(N)).components:
             assert np.max(np.abs(c - c.conj().T)) <= 1e-13
 
 
 def test_volume_form_nonzero():
     for N in (2, 3, 8):
-        assert volume_form(make_ctx(N)).norm() > 1e-3
+        assert volume_form(make_coords(N)).norm() > 1e-3
 
 
 def test_volume_form_unitary_covariance():
     from fuzzychern.su2 import FuzzyCoordinates
 
     N = 4
-    ctx = make_ctx(N)
+    coords = make_coords(N)
     q, _ = np.linalg.qr(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
     rotated = FuzzyCoordinates(
-        spin=ctx.coords.spin,
-        X1=q @ ctx.coords.X1 @ q.conj().T,
-        X2=q @ ctx.coords.X2 @ q.conj().T,
-        X3=q @ ctx.coords.X3 @ q.conj().T,
+        spin=coords.spin,
+        X1=q @ coords.X1 @ q.conj().T,
+        X2=q @ coords.X2 @ q.conj().T,
+        X3=q @ coords.X3 @ q.conj().T,
     )
-    om = volume_form(ctx)
-    om_rot = volume_form(CalculusContext(rotated))
+    om = volume_form(coords)
+    om_rot = volume_form(rotated)
     for c, cr in zip(om.components, om_rot.components):
         assert np.max(np.abs(cr - q @ c @ q.conj().T)) <= 1e-12
 
 
 def test_extract_coefficient_exact_multiple():
-    om = volume_form(make_ctx(3))
+    om = volume_form(make_coords(3))
     lam, res = extract_coefficient(om.scale(2.5), om)
     assert lam == pytest.approx(2.5, abs=1e-13)
     assert res <= 1e-14
 
 
 def test_extract_coefficient_residual_grows_linearly():
-    ctx = make_ctx(3)
-    om = volume_form(ctx)
+    om = volume_form(make_coords(3))
     perturb = om.scale(0.0)
     comps = list(perturb.components)
     comps[0] = comps[0] + (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
@@ -95,7 +94,7 @@ def test_extract_coefficient_residual_grows_linearly():
 def test_extract_coefficient_degenerate_volume():
     from fuzzychern.calculus import zero_form
 
-    om = volume_form(make_ctx(3))
+    om = volume_form(make_coords(3))
     with pytest.raises(DegenerateVolumeError):
         extract_coefficient(om, zero_form(2, 1, 3))
 
@@ -150,8 +149,9 @@ def test_chern_number_large_n_trend():
 def test_chern_number_spin_mismatch_rejected():
     coords2 = fuzzy_coordinates(SpinLabel.from_dimension(2))
     proj = build_fuzzy_projector(coords2, 1)
+    coords3 = make_coords(3)
     with pytest.raises(ValueError):
-        chern_number(proj, make_ctx(3))
+        chern_number(proj, coords3, volume_form(coords3))
 
 
 @pytest.mark.parametrize("N", list(range(2, 65)))
@@ -160,6 +160,23 @@ def test_charge_formula_agreement(N):
         r = report_for(N, sign)
         assert r.abs_error <= 1e-9
         assert r.proportionality_residual <= 1e-10
+
+
+def test_sweep_builds_volume_form_once_per_n(count_calls):
+    from fuzzychern import bundles, chern
+
+    forms = count_calls(chern, "volume_form")
+    projectors = count_calls(bundles, "build_fuzzy_projector")
+    reports = sweep(range(2, 6))
+    assert len(reports) == 8
+    assert len(forms) == 4
+    assert len(projectors) == 8
+
+
+def test_reports_for_matches_one_sign_reports():
+    for N in (3, DENSE_MAX_N + 2):
+        assert reports_for(N) == [report_for(N, 1), report_for(N, -1)]
+        assert reports_for(N, (-1,)) == [report_for(N, -1)]
 
 
 def test_sweep_ordering():
@@ -171,7 +188,7 @@ def test_sweep_ordering():
 
 def report_on(N, sign, banded):
     coords = fuzzy_coordinates(SpinLabel.from_dimension(N), banded=banded)
-    return chern_number(build_fuzzy_projector(coords, sign), CalculusContext(coords))
+    return chern_number(build_fuzzy_projector(coords, sign), coords, volume_form(coords))
 
 
 def test_report_for_switches_to_banded_above_crossover():

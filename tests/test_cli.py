@@ -1,8 +1,16 @@
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from fuzzychern import bundles, chern, cli
+from fuzzychern.bundles import ProjectorConsistencyError
+from fuzzychern.chern import NonProportionalCurvatureError
 from fuzzychern.cli import main
+from fuzzychern.sphere_oracle import QuadratureIntegrityError
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -131,3 +139,70 @@ def test_domain_errors_exit_2_with_one_line(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def assert_one_error_line(out, err, prefix="error: "):
+    assert out == ""
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("fuzzy", "--N", str(10**12)),
+    ("sweep", "--from", "2", "--to", str(10**12)),
+])
+def test_memory_estimate_refuses_before_allocating(capsys, monkeypatch, argv):
+    # 10**12 * 3 KB is far beyond any host's physical memory
+    def never(*args, **kwargs):
+        raise AssertionError("a report was started")
+
+    monkeypatch.setattr(cli, "reports_for", never)
+    monkeypatch.setattr(cli, "sweep", never)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert_one_error_line(out, err)
+    assert "physical memory" in err
+
+
+def test_invariant_failure_exits_1_with_one_line(capsys, monkeypatch):
+    # no residual is below a negative bound, so every report fails its check
+    monkeypatch.setattr(chern, "PROPORTIONALITY_BOUND", -1.0)
+    code, out, err = run(capsys, "fuzzy", "--N", "3")
+    assert code == 1
+    assert_one_error_line(out, err, "error: NonProportionalCurvatureError: curvature")
+
+
+@pytest.mark.parametrize("exc", [
+    ProjectorConsistencyError, NonProportionalCurvatureError, QuadratureIntegrityError,
+])
+def test_each_invariant_error_exits_1(capsys, monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc("residual 1e-3")
+
+    monkeypatch.setattr(cli, "reports_for", fail)
+    code, out, err = run(capsys, "fuzzy", "--N", "3")
+    assert code == 1
+    assert_one_error_line(out, err, "error: %s: residual 1e-3" % exc.__name__)
+
+
+def test_verify_builds_each_projector_and_volume_form_once(capsys, count_calls):
+    projectors = count_calls(bundles, "build_fuzzy_projector")
+    forms = count_calls(chern, "volume_form")
+    code, _, _ = run(capsys, "verify", "--max-N", "8")
+    assert code == 0
+    built = Counter((coords.N, sign) for coords, sign in projectors)
+    assert built == Counter({(N, s): 1 for N in range(2, 9) for s in (1, -1)})
+    assert sorted(coords.N for (coords,) in forms) == list(range(2, 9))
+
+
+# captured from the command-line output before reports shared their volume form
+@pytest.mark.parametrize("argv, name", [
+    (("sweep", "--from", "2", "--to", "12"), "sweep_2_12.table"),
+    (("sweep", "--from", "2", "--to", "12", "--format", "csv"), "sweep_2_12.csv"),
+    (("sweep", "--from", "2", "--to", "12", "--format", "json"), "sweep_2_12.json"),
+    (("fuzzy", "--N", "64", "--format", "json"), "fuzzy_64.json"),
+    (("verify", "--max-N", "8"), "verify_8.txt"),
+])
+def test_output_matches_golden_file(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / name).read_text()
