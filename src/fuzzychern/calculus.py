@@ -117,32 +117,22 @@ def scalar_form(coeff, module_rank=1, algebra_dim=None):
     return GradedForm(0, module_rank, algebra_dim, (coeff,))
 
 
-def derive(coords, axis, f, module_rank=None):
+def derive(coords, axis, f):
     """e_a(f) = (1/kappa) [I_n (x) X_a, f] on an element f of the rank-n module."""
     f = as_matrix(f)
-    if f.shape[0] != f.shape[1]:
-        raise ShapeError("derive needs a square matrix, got %s" % (f.shape,))
-    if module_rank is None:
-        if f.shape[0] % coords.N != 0:
-            raise ShapeError(
-                "dimension %d not a multiple of algebra dimension %d"
-                % (f.shape[0], coords.N)
-            )
-        module_rank = f.shape[0] // coords.N
+    if f.shape[0] != f.shape[1] or f.shape[0] % coords.N != 0:
+        raise ShapeError("derive needs a square n*N matrix, got %s" % (f.shape,))
+    n = f.shape[0] // coords.N
     x = coords.axis(axis)
-    if module_rank != 1:
-        x = kron(np.eye(module_rank), x)
+    if n != 1:
+        x = kron(np.eye(n), x)
     return (x @ f - f @ x) / coords.kappa
 
 
 def d0(coords, f):
     """Exterior derivative of a degree-0 element: df = e_a(f) theta^a."""
-    f = as_matrix(f)
-    if f.shape[0] != f.shape[1] or f.shape[0] % coords.N != 0:
-        raise ShapeError("d0 needs a square n*N matrix, got %s" % (f.shape,))
-    n = f.shape[0] // coords.N
-    comps = tuple(derive(coords, a, f, module_rank=n) for a in (1, 2, 3))
-    return GradedForm(1, n, coords.N, comps)
+    comps = tuple(derive(coords, a, f) for a in (1, 2, 3))
+    return GradedForm(1, comps[0].shape[0] // coords.N, coords.N, comps)
 
 
 def d1(coords, omega):
@@ -153,16 +143,15 @@ def d1(coords, omega):
     """
     if omega.degree != 1:
         raise DegreeError("d1 needs a one-form, got degree %d" % omega.degree)
-    n = omega.module_rank
     w1, w2, w3 = omega.components
 
     def e(a, f):
-        return derive(coords, a, f, module_rank=n)
+        return derive(coords, a, f)
 
     c12 = e(1, w2) - e(2, w1) - 1j * w3
     c13 = e(1, w3) - e(3, w1) + 1j * w2
     c23 = e(2, w3) - e(3, w2) - 1j * w1
-    return GradedForm(2, n, omega.algebra_dim, (c12, c13, c23))
+    return GradedForm(2, omega.module_rank, omega.algebra_dim, (c12, c13, c23))
 
 
 def wedge(alpha, beta):

@@ -169,6 +169,6 @@ def report_for(N, sign):
     return reports_for(N, (sign,))[0]
 
 
-def sweep(n_values, signs=(1, -1)):
-    """Reports for each N in n_values and each sign, ordered by N then sign."""
-    return [r for N in n_values for r in reports_for(N, signs)]
+def sweep(n_values):
+    """Reports for each N in n_values and both signs, ordered by N then sign."""
+    return [r for N in n_values for r in reports_for(N)]

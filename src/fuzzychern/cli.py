@@ -13,9 +13,11 @@ import numpy as np
 
 from .bundles import MAX_TENSOR_POWER, projector_coefficients, projector_matrix
 from .calculus import d0, d1, derive, scalar_form, wedge
-from .chern import REPORT_BYTES_PER_N, gamma_formula, reports_for, sweep
-from .linalg import InvariantError, commutator, frobenius_norm, kron, max_abs, normalized_trace
-from .sphere_oracle import build_quadrature, chern_number_commutative, volume_check
+from .chern import DENSE_MAX_N, REPORT_BYTES_PER_N, gamma_formula, reports_for, sweep
+from .linalg import (
+    InvariantError, commutator, frobenius_norm, identity_like, kron, max_abs, normalized_trace,
+)
+from .sphere_oracle import ORACLE_STACKS, build_quadrature, chern_number_commutative, volume_check
 from .su2 import SpinLabel, fuzzy_coordinates
 
 # column header -> ChernReport attribute
@@ -62,19 +64,18 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _check_memory(option, N):
-    """Refuse an N whose report would need more than the physical memory."""
-    need = N * REPORT_BYTES_PER_N
+def _check_memory(what, need):
+    """Refuse a run whose estimated ``need`` in bytes exceeds the physical memory."""
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        raise UsageError("%s %d needs about %d MB, more than the %d MB of physical memory"
-                         % (option, N, need // 10**6, have // 10**6))
+        raise UsageError("%s needs about %d MB, more than the %d MB of physical memory"
+                         % (what, need // 10**6, have // 10**6))
 
 
 def cmd_fuzzy(args):
     if args.N < 2:
         raise UsageError("--N must be >= 2")
-    _check_memory("--N", args.N)
+    _check_memory("--N %d" % args.N, args.N * REPORT_BYTES_PER_N)
     signs = {"plus": [1], "minus": [-1], "both": [1, -1]}[args.sign]
     reports = reports_for(args.N, signs)
     _emit(render_reports(reports, args.format), args.out)
@@ -86,7 +87,7 @@ def cmd_sweep(args):
         raise UsageError("empty N range")
     if args.frm < 2:
         raise UsageError("--from must be >= 2")
-    _check_memory("--to", args.to)
+    _check_memory("--to %d" % args.to, args.to * REPORT_BYTES_PER_N)
     reports = sweep(range(args.frm, args.to + 1))
     _emit(render_reports(reports, args.format), args.out)
     return 0
@@ -99,12 +100,15 @@ def cmd_commutative(args):
         n_polar, n_azimuthal = (int(v) for v in args.grid.split("x"))
     except ValueError:
         raise UsageError("--grid must look like 64x128")
+    _check_memory("--k %d --grid %s" % (args.k, args.grid),
+                  ORACLE_STACKS * 16 * 4**args.k * n_polar * n_azimuthal)
     try:
         grid = build_quadrature(n_polar, n_azimuthal)
     except ValueError as exc:
         raise UsageError("--grid %s: %s" % (args.grid, exc))
-    c1 = chern_number_commutative(args.k, args.transpose, grid)
-    vol = volume_check(grid)
+    # rounded to the 15 significant digits every format prints
+    c1 = float(_fmt(chern_number_commutative(args.k, args.transpose, grid)))
+    vol = float(_fmt(volume_check(grid)))
     row = {
         "k": args.k,
         "transpose": args.transpose,
@@ -146,15 +150,15 @@ def _verify_suites(max_n, kappa_perturbation=0.0):
     # su2 / coordinates
     worst = 0.0
     for twice_j in list(range(1, 8)) + [max_n - 1]:
-        coords = fuzzy_coordinates(SpinLabel(twice_j))
+        # stored as reports_for stores them, so max_n costs O(max_n) memory
+        coords = fuzzy_coordinates(SpinLabel(twice_j), banded=twice_j + 1 > DENSE_MAX_N)
         kap = coords.kappa
         xs = [coords.X1, coords.X2, coords.X3]
         pairs = {(0, 1): (2, 1), (1, 2): (0, 1), (0, 2): (1, -1)}
         for (p, q), (r, s) in pairs.items():
-            worst = max(worst, np.max(np.abs(
-                commutator(xs[p], xs[q]) - 1j * kap * s * xs[r])))
-        worst = max(worst, np.max(np.abs(
-            xs[0] @ xs[0] + xs[1] @ xs[1] + xs[2] @ xs[2] - np.eye(coords.N))))
+            worst = max(worst, max_abs(commutator(xs[p], xs[q]) - 1j * kap * s * xs[r]))
+        worst = max(worst, max_abs(
+            xs[0] @ xs[0] + xs[1] @ xs[1] + xs[2] @ xs[2] - identity_like(xs[0], coords.N)))
         for x in xs:
             worst = max(worst, abs(normalized_trace(x)))
     yield "su2-repr", worst <= 1e-12, "max residual %.3e" % worst
@@ -217,6 +221,7 @@ def _verify_suites(max_n, kappa_perturbation=0.0):
 def cmd_verify(args):
     if args.max_N < 2:
         raise UsageError("--max-N must be >= 2")
+    _check_memory("--max-N %d" % args.max_N, args.max_N * REPORT_BYTES_PER_N)
     failures = 0
     for name, passed, detail in _verify_suites(args.max_N, args.perturb_kappa):
         print("%-18s %s  (%s)" % (name, "PASS" if passed else "FAIL", detail))

@@ -23,6 +23,11 @@ __all__ = [
 ]
 
 
+# chern_number_commutative peaks at about this many node stacks of 4^k complex
+# entries: +480 MB from k = 4 to 5 on 64x128, where one stack grows by 101 MB
+ORACLE_STACKS = 5
+
+
 class QuadratureIntegrityError(InvariantError):
     """Imaginary residue of a real quantity exceeded tolerance."""
 
@@ -70,8 +75,6 @@ def _batched_kron(a, b):
 
 def _projectors_and_derivatives(k, transpose, theta, phi):
     """Stacked p_k, d_theta p_k, d_phi p_k at each (theta, phi) node."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
     st, ct = np.sin(theta), np.cos(theta)
     sp, cp = np.sin(phi), np.cos(phi)
     x = np.stack([st * cp, st * sp, ct], axis=-1)
@@ -79,6 +82,8 @@ def _projectors_and_derivatives(k, transpose, theta, phi):
     dx_dp = np.stack([-st * sp, st * cp, np.zeros_like(st)], axis=-1)
 
     sigma = np.stack(PAULI)  # (3, 2, 2)
+    if transpose:
+        sigma = np.transpose(sigma, (0, 2, 1))
 
     def affine(v):
         return np.einsum("ma,aij->mij", v, sigma) / 2.0
@@ -86,26 +91,12 @@ def _projectors_and_derivatives(k, transpose, theta, phi):
     p = np.eye(2, dtype=np.complex128) / 2.0 + affine(x)
     pt = affine(dx_dt)
     pp = affine(dx_dp)
-    if transpose:
-        p = np.transpose(p, (0, 2, 1))
-        pt = np.transpose(pt, (0, 2, 1))
-        pp = np.transpose(pp, (0, 2, 1))
-    if k == 1:
-        return p, pt, pp
-    big = p
+    big, d_theta, d_phi = p, pt, pp
+    # product rule, one Kronecker factor at a time
     for _ in range(k - 1):
+        d_theta = _batched_kron(d_theta, p) + _batched_kron(big, pt)
+        d_phi = _batched_kron(d_phi, p) + _batched_kron(big, pp)
         big = _batched_kron(big, p)
-    m = p.shape[0]
-    d_theta = np.zeros_like(big)
-    d_phi = np.zeros_like(big)
-    # product rule over the k Kronecker factors
-    for i in range(k):
-        term_t = term_p = np.ones((m, 1, 1), dtype=np.complex128)
-        for pos in range(k):
-            term_t = _batched_kron(term_t, pt if pos == i else p)
-            term_p = _batched_kron(term_p, pp if pos == i else p)
-        d_theta += term_t
-        d_phi += term_p
     return big, d_theta, d_phi
 
 
@@ -124,10 +115,10 @@ def curvature_density(k, transpose, theta, phi):
 
 def chern_number_commutative(k, transpose, grid):
     """(1/2 pi i) integral of the curvature of p_k over the sphere."""
-    st = np.sin(grid.thetas)
     dens = curvature_densities(k, transpose, grid.thetas, grid.phis)
-    # density vanishes like sin(theta) at the poles; Gauss nodes are interior
-    vals = np.where(st < 1e-12, 0.0, dens / np.where(st < 1e-12, 1.0, st))
+    # density vanishes like sin(theta) at the poles; Gauss nodes are interior,
+    # with sin(theta) > 1.6 / n_polar (2.4e-3 at n_polar = 1000)
+    vals = dens / np.sin(grid.thetas)
     total = grid.integrate(vals) / (2.0j * np.pi)
     if abs(total.imag) > 1e-9:
         raise QuadratureIntegrityError(

@@ -105,6 +105,18 @@ def test_commutative_transposed(capsys):
     assert json.loads(out)["c1"] == pytest.approx(-2.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("argv", [
+    ("--k", "1", "--grid", "8x16"),
+    ("--k", "4", "--transpose"),
+])
+def test_commutative_json_keeps_15_significant_digits(capsys, argv):
+    code, out, _ = run(capsys, "commutative", "--format", "json", *argv)
+    assert code == 0
+    row = json.loads(out)
+    for key in ("c1", "volume_integral"):
+        assert row[key] == float("%.15g" % row[key])
+
+
 def test_commutative_k_out_of_range(capsys):
     code, _, _ = run(capsys, "commutative", "--k", "13")
     assert code == 2
@@ -163,6 +175,30 @@ def test_memory_estimate_refuses_before_allocating(capsys, monkeypatch, argv):
     assert "physical memory" in err
 
 
+def test_oracle_memory_estimate_refuses_before_allocating(capsys, monkeypatch):
+    # 5 stacks of 4**12 complex entries on 64x128 nodes is about 11 TB
+    def never(*args, **kwargs):
+        raise AssertionError("the oracle was started")
+
+    monkeypatch.setattr(cli, "chern_number_commutative", never)
+    code, out, err = run(capsys, "commutative", "--k", "12")
+    assert code == 2
+    assert_one_error_line(out, err)
+    assert "physical memory" in err
+
+
+def test_verify_memory_estimate_refuses_before_any_suite(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a suite was started")
+
+    monkeypatch.setattr(cli, "sweep", never)
+    monkeypatch.setattr(cli, "fuzzy_coordinates", never)
+    code, out, err = run(capsys, "verify", "--max-N", str(10**12))
+    assert code == 2
+    assert_one_error_line(out, err)
+    assert "physical memory" in err
+
+
 def test_invariant_failure_exits_1_with_one_line(capsys, monkeypatch):
     # no residual is below a negative bound, so every report fails its check
     monkeypatch.setattr(chern, "PROPORTIONALITY_BOUND", -1.0)
@@ -194,13 +230,20 @@ def test_verify_builds_each_projector_and_volume_form_once(capsys, count_calls):
     assert sorted(coords.N for (coords,) in forms) == list(range(2, 9))
 
 
-# captured from the command-line output before reports shared their volume form
+# captured from the command-line output before a refactor that kept it: the
+# sweep, fuzzy and verify files before reports shared their volume form, the
+# commutative files before the oracle built p_k in one product-rule pass
 @pytest.mark.parametrize("argv, name", [
     (("sweep", "--from", "2", "--to", "12"), "sweep_2_12.table"),
     (("sweep", "--from", "2", "--to", "12", "--format", "csv"), "sweep_2_12.csv"),
     (("sweep", "--from", "2", "--to", "12", "--format", "json"), "sweep_2_12.json"),
     (("fuzzy", "--N", "64", "--format", "json"), "fuzzy_64.json"),
     (("verify", "--max-N", "8"), "verify_8.txt"),
+    (("commutative", "--k", "3"), "commutative_3.table"),
+    (("commutative", "--k", "3", "--format", "csv"), "commutative_3.csv"),
+    (("commutative", "--k", "4", "--transpose"), "commutative_4_transpose.table"),
+    (("commutative", "--k", "4", "--transpose", "--format", "csv"),
+     "commutative_4_transpose.csv"),
 ])
 def test_output_matches_golden_file(capsys, argv, name):
     code, out, err = run(capsys, *argv)

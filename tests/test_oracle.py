@@ -1,6 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
+from fuzzychern import sphere_oracle
 from fuzzychern.bundles import PointOnSphere, tensor_power_projector
 from fuzzychern.chern import gamma_formula
 from fuzzychern.sphere_oracle import (
@@ -91,12 +94,14 @@ def test_volume_normalization():
         assert abs(volume_check(g) - 1.0) <= 1e-12
 
 
-def finite_difference_density(k, theta, phi, h=1e-5):
+def power_projector(k, transpose, theta, phi):
+    pk = tensor_power_projector(PointOnSphere.from_angles(theta, phi), k)
+    return pk.T if transpose else pk
+
+
+def finite_difference_density(k, theta, phi, h=1e-5, transpose=False):
     """Independent check: central differences of the projector itself."""
-
-    def proj(t, p):
-        return tensor_power_projector(PointOnSphere.from_angles(t, p), k)
-
+    proj = functools.partial(power_projector, k, transpose)
     p = proj(theta, phi)
     dt = (proj(theta + h, phi) - proj(theta - h, phi)) / (2.0 * h)
     dp = (proj(theta, phi + h) - proj(theta, phi - h)) / (2.0 * h)
@@ -106,9 +111,35 @@ def finite_difference_density(k, theta, phi, h=1e-5):
 def test_finite_difference_cross_check():
     theta, phi = random_angles(25)
     for t, p in zip(theta, phi):
-        analytic = curvature_density(2, False, t, p)
-        fd = finite_difference_density(2, t, p)
-        assert abs(analytic - fd) <= 1e-6
+        for k in (1, 2, 3, 4):
+            for transpose in (False, True):
+                analytic = curvature_density(k, transpose, t, p)
+                fd = finite_difference_density(k, t, p, transpose=transpose)
+                assert abs(analytic - fd) <= 1e-6
+
+
+def test_chart_derivatives_match_finite_differences():
+    # the curvature alone cannot see every wrong derivative: p dp p = 0 hides
+    # a misplaced Kronecker factor, so compare the matrices themselves
+    h = 1e-5
+    theta, phi = np.array([0.3, 1.2, 2.5]), np.array([0.1, 2.0, 4.4])
+    for k in (1, 2, 3, 4):
+        for transpose in (False, True):
+            p, dt, dp = sphere_oracle._projectors_and_derivatives(k, transpose, theta, phi)
+            pk = functools.partial(power_projector, k, transpose)
+            for m, (t, f) in enumerate(zip(theta, phi)):
+                assert np.max(np.abs(p[m] - pk(t, f))) <= 1e-14
+                fd_t = (pk(t + h, f) - pk(t - h, f)) / (2.0 * h)
+                fd_p = (pk(t, f + h) - pk(t, f - h)) / (2.0 * h)
+                assert np.max(np.abs(dt[m] - fd_t)) <= 1e-8
+                assert np.max(np.abs(dp[m] - fd_p)) <= 1e-8
+
+
+def test_product_rule_makes_five_kronecker_products_per_factor(count_calls):
+    # each of the k - 1 steps extends p_k and both chart derivatives once
+    krons = count_calls(sphere_oracle, "_batched_kron")
+    assert abs(chern_number_commutative(4, False, build_quadrature(4, 8)) - 4.0) <= 1e-8
+    assert len(krons) == 15
 
 
 def test_finite_difference_charge():
