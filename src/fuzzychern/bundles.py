@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import d0, module_trace, scalar_form, wedge
-from .linalg import InvariantError, as_matrix, identity_like, kron, max_abs, normalized_trace
+from .invariants import require
+from .linalg import as_matrix, identity_like, kron, max_abs, normalized_trace
 
 __all__ = [
     "PAULI",
@@ -19,7 +20,6 @@ __all__ = [
     "FuzzyProjector",
     "projector_coefficients",
     "solve_projector_params",
-    "projector_matrix",
     "build_fuzzy_projector",
     "bott_projector",
     "tensor_power_projector",
@@ -37,10 +37,6 @@ MAX_TENSOR_POWER = 12
 
 class OffSphereError(ValueError):
     """Point does not lie on the unit sphere."""
-
-
-class ProjectorConsistencyError(InvariantError):
-    """Constructed projector violates its own invariants; representation bug."""
 
 
 @dataclass(frozen=True)
@@ -122,32 +118,20 @@ class FuzzyProjector:
         return normalized_trace(self.realization) * 2.0
 
 
-def projector_matrix(coords, alpha, beta):
-    """alpha + beta sigma_a (x) X_a, stored like the coordinates."""
+def build_fuzzy_projector(coords, sign):
+    """Construct alpha + beta sigma_a (x) X_a on the chosen sign branch,
+    stored like the coordinates."""
+    alpha, beta = projector_coefficients(coords.kappa, sign)
     p = alpha * identity_like(coords.X3, 2 * coords.N)
     for a in (1, 2, 3):
         p += beta * kron(PAULI[a - 1], coords.axis(a))
-    return p
-
-
-def build_fuzzy_projector(coords, sign):
-    """Construct alpha + beta sigma_a (x) X_a on the chosen sign branch."""
-    spin = coords.spin
-    kappa = spin.kappa
-    alpha, beta = projector_coefficients(kappa, sign)
-    N = spin.N
-    p = projector_matrix(coords, alpha, beta)
     proj = FuzzyProjector(
-        spin=spin, sign=sign, alpha=alpha, beta=beta, realization=p,
+        spin=coords.spin, sign=sign, alpha=alpha, beta=beta, realization=p,
         idempotency=max_abs(p @ p - p), selfadjointness=max_abs(p - p.conj().T),
     )
-    if proj.idempotency > 1e-12 or proj.selfadjointness > 1e-12:
-        raise ProjectorConsistencyError(
-            "projector invariants violated at N=%d sign=%+d" % (N, sign)
-        )
-    # algebraic identity sqrt(4 + kappa^2) = N kappa
-    if abs(beta * kappa - sign / N) > 1e-13:
-        raise ProjectorConsistencyError("beta*kappa != sign/N at N=%d" % N)
+    at = "N=%d sign=%+d" % (coords.N, sign)
+    require("projector", max(proj.idempotency, proj.selfadjointness), at)
+    require("beta-kappa", abs(beta * coords.kappa - sign / coords.N), at)
     return proj
 
 

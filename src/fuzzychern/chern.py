@@ -14,7 +14,8 @@ import numpy as np
 
 from .bundles import build_fuzzy_projector, chern_character_form
 from .calculus import d0, scalar_form, wedge
-from .linalg import InvariantError, ShapeError, hs_inner, normalized_trace
+from .invariants import require
+from .linalg import ShapeError, hs_inner, normalized_trace
 from .su2 import SpinLabel, fuzzy_coordinates
 
 __all__ = [
@@ -44,15 +45,8 @@ EPSILON = (
 # O(N^3) and passes 5 ms between N = 44 and 46 (2 threads of OpenBLAS).
 DENSE_MAX_N = 45
 
-# largest relative residual |F - lambda omega| / |omega| a report accepts
-PROPORTIONALITY_BOUND = 1e-8
-
 # a banded report's peak RSS grows ~2.9 KB per N (85 MB at N = 2e4, 306 MB at 1e5)
 REPORT_BYTES_PER_N = 3000
-
-
-class NonProportionalCurvatureError(InvariantError):
-    """Curvature is not a scalar multiple of the volume form; structural bug."""
 
 
 class DegenerateVolumeError(ValueError):
@@ -132,16 +126,11 @@ def chern_number(projector, coords, omega):
         raise ValueError("coordinate spin does not match projector spin")
     F = chern_character_form(coords, projector)
     lam, residual = extract_coefficient(F, omega)
-    if residual > PROPORTIONALITY_BOUND:
-        raise NonProportionalCurvatureError(
-            "curvature not proportional to omega: residual %.3e" % residual
-        )
+    at = "N=%d sign=%+d" % (projector.N, projector.sign)
+    require("curvature", residual, at)
     # c1 = lambda * star_integral(1) / (2 pi i), and star_integral(1) = tr_N(1)/N = 1
     c1 = lam / (2.0j * np.pi)
-    if abs(c1.imag) > 1e-10:
-        raise NonProportionalCurvatureError(
-            "charge has imaginary part %.3e" % c1.imag
-        )
+    require("charge-imag", abs(c1.imag), at)
     gamma = gamma_formula(projector.N, projector.sign)
     ch0 = projector.ch0()
     return ChernReport(

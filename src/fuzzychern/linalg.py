@@ -27,10 +27,6 @@ class ShapeError(ValueError):
     """Raised when operand dimensions do not match an operation's contract."""
 
 
-class InvariantError(RuntimeError):
-    """An identity the construction guarantees failed: a bug, not a bad input."""
-
-
 class Banded:
     """Square complex matrix stored by its diagonals.
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bundles import MAX_TENSOR_POWER, PAULI
-from .linalg import InvariantError
+from .invariants import require
 
 __all__ = [
     "QuadratureGrid",
@@ -26,10 +26,6 @@ __all__ = [
 # chern_number_commutative peaks at about this many node stacks of 4^k complex
 # entries: +480 MB from k = 4 to 5 on 64x128, where one stack grows by 101 MB
 ORACLE_STACKS = 5
-
-
-class QuadratureIntegrityError(InvariantError):
-    """Imaginary residue of a real quantity exceeded tolerance."""
 
 
 @dataclass(frozen=True)
@@ -120,10 +116,7 @@ def chern_number_commutative(k, transpose, grid):
     # with sin(theta) > 1.6 / n_polar (2.4e-3 at n_polar = 1000)
     vals = dens / np.sin(grid.thetas)
     total = grid.integrate(vals) / (2.0j * np.pi)
-    if abs(total.imag) > 1e-9:
-        raise QuadratureIntegrityError(
-            "imaginary residue %.3e exceeds 1e-9" % abs(total.imag)
-        )
+    require("quadrature-imag", abs(total.imag))
     return float(total.real)
 
 

@@ -1,14 +1,13 @@
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from fuzzychern import bundles, chern, cli
-from fuzzychern.bundles import ProjectorConsistencyError
-from fuzzychern.chern import NonProportionalCurvatureError
+from fuzzychern import bundles, chern, cli, invariants
 from fuzzychern.cli import main
-from fuzzychern.sphere_oracle import QuadratureIntegrityError
+from fuzzychern.invariants import InvariantError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -135,10 +134,24 @@ def test_verify_passes(capsys):
     assert "all suites passed" in out
 
 
-def test_verify_negative_control(capsys):
-    code, out, _ = run(capsys, "verify", "--max-N", "4", "--perturb-kappa", "0.05")
+@pytest.mark.parametrize("stage, suite", [
+    ("linalg-trace", "linalg-core"),
+    ("linalg-kron", "linalg-core"),
+    ("su2-repr", "su2-repr"),
+    ("diff-calculus", "diff-calculus"),
+    ("projector", "bundles"),
+    ("chern-integration", "chern-integration"),
+    ("s2-oracle", "s2-oracle"),
+])
+def test_verify_fails_the_suite_whose_bound_no_residual_meets(capsys, monkeypatch, stage, suite):
+    # only verify's copy is patched: the build check shares the projector entry
+    # and would otherwise raise before the bundles suite is printed
+    monkeypatch.setattr(cli, "BOUNDS", {**invariants.BOUNDS, stage: -1.0})
+    code, out, _ = run(capsys, "verify", "--max-N", "4")
     assert code == 1
-    assert any("bundles" in l and "FAIL" in l for l in out.splitlines())
+    failed = [l.split()[0] for l in out.splitlines() if " FAIL " in l]
+    assert failed == [suite]
+    assert out.endswith("1 suite(s) failed\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -199,25 +212,51 @@ def test_verify_memory_estimate_refuses_before_any_suite(capsys, monkeypatch):
     assert "physical memory" in err
 
 
+def test_oracle_quadrature_memory_estimate_refuses_before_allocating(capsys, monkeypatch):
+    # leggauss eigen-solves an n_polar^2 companion matrix: 160 GB at n_polar = 1e5,
+    # while the node stacks of this grid take 128 MB
+    def never(*args, **kwargs):
+        raise AssertionError("the quadrature was built")
+
+    monkeypatch.setattr(cli, "build_quadrature", never)
+    code, out, err = run(capsys, "commutative", "--grid", "100000x4")
+    assert code == 2
+    assert_one_error_line(out, err)
+    assert "physical memory" in err
+
+
 def test_invariant_failure_exits_1_with_one_line(capsys, monkeypatch):
     # no residual is below a negative bound, so every report fails its check
-    monkeypatch.setattr(chern, "PROPORTIONALITY_BOUND", -1.0)
+    monkeypatch.setitem(invariants.BOUNDS, "curvature", -1.0)
     code, out, err = run(capsys, "fuzzy", "--N", "3")
     assert code == 1
-    assert_one_error_line(out, err, "error: NonProportionalCurvatureError: curvature")
+    assert_one_error_line(out, err, "error: InvariantError: curvature")
 
 
-@pytest.mark.parametrize("exc", [
-    ProjectorConsistencyError, NonProportionalCurvatureError, QuadratureIntegrityError,
+@pytest.mark.parametrize("stage", [
+    "projector", "beta-kappa", "curvature", "charge-imag", "quadrature-imag",
 ])
-def test_each_invariant_error_exits_1(capsys, monkeypatch, exc):
+def test_each_build_stage_names_itself_and_its_bound(capsys, monkeypatch, stage):
+    monkeypatch.setitem(invariants.BOUNDS, stage, -1.0)
+    if stage == "quadrature-imag":
+        argv, at = ("commutative", "--k", "1", "--grid", "8x16"), ""
+    else:  # checked per report, whose N and sign the line names
+        argv, at = ("fuzzy", "--N", "3"), " at N=3 sign=+1"
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert_one_error_line(out, err)
+    pattern = r"error: InvariantError: %s residual \S+ exceeds -1%s\n"
+    assert re.fullmatch(pattern % (re.escape(stage), re.escape(at)), err)
+
+
+def test_each_invariant_error_exits_1(capsys, monkeypatch):
     def fail(*args, **kwargs):
-        raise exc("residual 1e-3")
+        raise InvariantError("residual 1e-3")
 
     monkeypatch.setattr(cli, "reports_for", fail)
     code, out, err = run(capsys, "fuzzy", "--N", "3")
     assert code == 1
-    assert_one_error_line(out, err, "error: %s: residual 1e-3" % exc.__name__)
+    assert_one_error_line(out, err, "error: InvariantError: residual 1e-3")
 
 
 def test_verify_builds_each_projector_and_volume_form_once(capsys, count_calls):
