@@ -7,7 +7,6 @@ import pytest
 
 from fuzzychern import bundles, chern, cli, invariants
 from fuzzychern.cli import main
-from fuzzychern.invariants import InvariantError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -249,14 +248,22 @@ def test_each_build_stage_names_itself_and_its_bound(capsys, monkeypatch, stage)
     assert re.fullmatch(pattern % (re.escape(stage), re.escape(at)), err)
 
 
-def test_each_invariant_error_exits_1(capsys, monkeypatch):
+# each case is named for the exception class its stage raised before every
+# invariant failure became an InvariantError
+@pytest.mark.parametrize("stage", [
+    pytest.param("projector", id="ProjectorConsistencyError"),
+    pytest.param("curvature", id="NonProportionalCurvatureError"),
+    pytest.param("quadrature-imag", id="QuadratureIntegrityError"),
+])
+def test_each_invariant_error_exits_1(capsys, monkeypatch, stage):
     def fail(*args, **kwargs):
-        raise InvariantError("residual 1e-3")
+        invariants.require(stage, 1e-3)
 
     monkeypatch.setattr(cli, "reports_for", fail)
     code, out, err = run(capsys, "fuzzy", "--N", "3")
     assert code == 1
-    assert_one_error_line(out, err, "error: InvariantError: residual 1e-3")
+    assert_one_error_line(out, err, "error: InvariantError: %s residual 1.000e-03 exceeds %g"
+                          % (stage, invariants.BOUNDS[stage]))
 
 
 def test_verify_builds_each_projector_and_volume_form_once(capsys, count_calls):
