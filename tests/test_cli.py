@@ -278,12 +278,16 @@ def test_verify_builds_each_projector_and_volume_form_once(capsys, count_calls):
 
 # captured from the command-line output before a refactor that kept it: the
 # sweep, fuzzy and verify files before reports shared their volume form, the
-# commutative files before the oracle built p_k in one product-rule pass
+# commutative files before the oracle built p_k in one product-rule pass, the
+# fuzzy_257 and sweep_44_48 files (banded, and across DENSE_MAX_N) before the
+# Banded kernels multiplied diagonal pairs by slices
 @pytest.mark.parametrize("argv, name", [
     (("sweep", "--from", "2", "--to", "12"), "sweep_2_12.table"),
     (("sweep", "--from", "2", "--to", "12", "--format", "csv"), "sweep_2_12.csv"),
     (("sweep", "--from", "2", "--to", "12", "--format", "json"), "sweep_2_12.json"),
     (("fuzzy", "--N", "64", "--format", "json"), "fuzzy_64.json"),
+    (("fuzzy", "--N", "257", "--format", "csv"), "fuzzy_257.csv"),
+    (("sweep", "--from", "44", "--to", "48", "--format", "csv"), "sweep_44_48.csv"),
     (("verify", "--max-N", "8"), "verify_8.txt"),
     (("commutative", "--k", "3"), "commutative_3.table"),
     (("commutative", "--k", "3", "--format", "csv"), "commutative_3.csv"),
