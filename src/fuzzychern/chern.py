@@ -40,12 +40,12 @@ EPSILON = (
     (2, 1, 3, -1.0),
 )
 
-# report_for stays dense up to this N. The banded pipeline costs about 5 ms
-# per report whatever N, in per-operation overhead; the dense one costs
-# O(N^3) and passes 5 ms between N = 44 and 46 (2 threads of OpenBLAS).
+# report_for stays dense up to this N: the banded pipeline's ~4 ms per-report
+# overhead drops below the dense O(N^3) cost near N = 40 (2 OpenBLAS threads),
+# and 45 keeps the last digits of every report for N in 41..45.
 DENSE_MAX_N = 45
 
-# a banded report's peak RSS grows ~2.9 KB per N (85 MB at N = 2e4, 306 MB at 1e5)
+# a banded fuzzy --N run's RSS grows ~2.2 KB per N (77 MB at N = 2e4, 253 MB at 1e5)
 REPORT_BYTES_PER_N = 3000
 
 

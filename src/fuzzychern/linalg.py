@@ -33,7 +33,9 @@ class Banded:
     ``offsets`` is a sorted integer array and row k of ``data`` is the
     diagonal at ``offsets[k]``, aligned by row: ``data[k, i] = A[i, i + o]``.
     Entries whose column falls outside the matrix are zero, so products and
-    sums need no masking. Diagonals that come out exactly zero are dropped.
+    sums need no masking. Diagonals that come out exactly zero are dropped:
+    products, sums, scalar multiples, ``kron`` and the partial trace scan for
+    them, while negation, ``/``, ``conj`` and ``.T`` keep their operand's.
     Scalars combine with ``*`` and ``/``; other matrices must be ``Banded``.
     Traces, inner products, norms, ``kron`` and the module partial trace are
     the functions of this module, which take dense and banded operands.
@@ -44,12 +46,17 @@ class Banded:
     def __init__(self, offsets, data):
         offsets = np.asarray(offsets, dtype=np.int64)
         data = np.asarray(data, dtype=np.complex128)
-        keep = (data != 0).any(axis=1)
+        keep = data.any(axis=1)
         if not keep.all():
             offsets, data = offsets[keep], data[keep]
-        self.offsets = offsets
-        self.data = data
-        self.shape = (data.shape[1], data.shape[1])
+        self.offsets, self.data, self.shape = offsets, data, (data.shape[1],) * 2
+
+    @classmethod
+    def _nonzero(cls, offsets, data):
+        """A Banded whose diagonals are known to be nonzero: no zero scan."""
+        self = cls.__new__(cls)
+        self.offsets, self.data, self.shape = offsets, data, (data.shape[1],) * 2
+        return self
 
     @classmethod
     def from_diagonals(cls, n, diagonals):
@@ -73,25 +80,29 @@ class Banded:
             raise ShapeError("banded shapes differ: %s and %s" % (self.shape, other.shape))
         return self.shape[0]
 
-    def __add__(self, other):
+    def _combine(self, other, op):
         if not isinstance(other, Banded):
             return NotImplemented
         n = self._same_shape(other)
-        if np.array_equal(self.offsets, other.offsets):
-            return Banded(self.offsets, self.data + other.data)
-        offsets = np.union1d(self.offsets, other.offsets)
+        ours, theirs = self.offsets.tolist(), other.offsets.tolist()
+        if ours == theirs:
+            return Banded(self.offsets, op(self.data, other.data))
+        offsets = np.array(sorted({*ours, *theirs}), dtype=np.int64)
         data = np.zeros((len(offsets), n), dtype=np.complex128)
         data[np.searchsorted(offsets, self.offsets)] = self.data
-        data[np.searchsorted(offsets, other.offsets)] += other.data
+        rows = np.searchsorted(offsets, other.offsets)
+        data[rows] = op(data[rows], other.data)
         return Banded(offsets, data)
 
-    def __neg__(self):
-        return Banded(self.offsets, -self.data)
+    def __add__(self, other):
+        return self._combine(other, np.add)
 
     def __sub__(self, other):
-        if not isinstance(other, Banded):
-            return NotImplemented
-        return self + (-other)
+        # a - b is a + (-b) exactly in IEEE arithmetic, without the -b temporary
+        return self._combine(other, np.subtract)
+
+    def __neg__(self):
+        return Banded._nonzero(self.offsets, -self.data)
 
     def __mul__(self, c):
         if isinstance(c, Banded) or np.ndim(c) != 0:
@@ -103,27 +114,27 @@ class Banded:
     def __truediv__(self, c):
         if isinstance(c, Banded) or np.ndim(c) != 0:
             return NotImplemented
-        return Banded(self.offsets, self.data / c)
+        return Banded._nonzero(self.offsets, self.data / c)
 
     def __matmul__(self, other):
-        # (AB)[i, i + a + b] = sum over a, b of A[i, i + a] B[i + a, i + a + b]
+        # (AB)[i, i + a + b] = A[i, i + a] B[i + a, i + a + b], summed over the
+        # pairs (a, b) in a-major order; diagonals at |a + b| >= n are empty
         if not isinstance(other, Banded):
             return NotImplemented
         n = self._same_shape(other)
-        w = int(np.max(np.abs(self.offsets), initial=0))
-        padded = np.zeros((len(other.offsets), n + 2 * w), dtype=np.complex128)
-        padded[:, w:w + n] = other.data
-        sums = self.offsets[:, None] + other.offsets[None, :]
-        offsets = np.unique(sums)
-        targets = np.searchsorted(offsets, sums)
+        pairs = [(a, b, row, col) for a, row in zip(self.offsets.tolist(), self.data)
+                 for b, col in zip(other.offsets.tolist(), other.data) if abs(a + b) < n]
+        offsets = sorted({a + b for a, b, _, _ in pairs})
+        target = {o: k for k, o in enumerate(offsets)}
         data = np.zeros((len(offsets), n), dtype=np.complex128)
-        for a, row, target in zip(self.offsets.tolist(), self.data, targets):
-            data[target] += row * padded[:, w + a:w + a + n]
-        # diagonals at |offset| >= n come out zero and are dropped
+        for a, b, row, col in pairs:
+            # the rows i where both column i + a and column i + a + b exist
+            lo, hi = max(0, -a, -a - b), n - max(0, a, a + b)
+            data[target[a + b], lo:hi] += row[lo:hi] * col[lo + a:hi + a]
         return Banded(offsets, data)
 
     def conj(self):
-        return Banded(self.offsets, self.data.conj())
+        return Banded._nonzero(self.offsets, self.data.conj())
 
     @property
     def T(self):
@@ -135,7 +146,7 @@ class Banded:
                 row[o:] = d[:n - o]
             else:
                 row[:n + o] = d[-o:]
-        return Banded(-self.offsets[::-1], data)
+        return Banded._nonzero(-self.offsets[::-1], data)
 
 
 def as_matrix(a):

@@ -276,6 +276,16 @@ def test_verify_builds_each_projector_and_volume_form_once(capsys, count_calls):
     assert sorted(coords.N for (coords,) in forms) == list(range(2, 9))
 
 
+def test_verify_above_32_builds_a_doubling_ladder(capsys, count_calls):
+    # every N up to 32, then N doubling up to max_N: O(log max_N) reports
+    projectors = count_calls(bundles, "build_fuzzy_projector")
+    code, out, _ = run(capsys, "verify", "--max-N", "1000")
+    assert code == 0 and out.endswith("all suites passed\n")
+    built = Counter((coords.N, sign) for coords, sign in projectors)
+    ladder = list(range(2, 33)) + [64, 128, 256, 512, 1000]
+    assert built == Counter({(N, s): 1 for N in ladder for s in (1, -1)})
+
+
 # captured from the command-line output before a refactor that kept it: the
 # sweep, fuzzy and verify files before reports shared their volume form, the
 # commutative files before the oracle built p_k in one product-rule pass, the
@@ -286,14 +296,14 @@ def test_verify_builds_each_projector_and_volume_form_once(capsys, count_calls):
     (("sweep", "--from", "2", "--to", "12", "--format", "csv"), "sweep_2_12.csv"),
     (("sweep", "--from", "2", "--to", "12", "--format", "json"), "sweep_2_12.json"),
     (("fuzzy", "--N", "64", "--format", "json"), "fuzzy_64.json"),
-    (("fuzzy", "--N", "257", "--format", "csv"), "fuzzy_257.csv"),
-    (("sweep", "--from", "44", "--to", "48", "--format", "csv"), "sweep_44_48.csv"),
     (("verify", "--max-N", "8"), "verify_8.txt"),
     (("commutative", "--k", "3"), "commutative_3.table"),
     (("commutative", "--k", "3", "--format", "csv"), "commutative_3.csv"),
     (("commutative", "--k", "4", "--transpose"), "commutative_4_transpose.table"),
     (("commutative", "--k", "4", "--transpose", "--format", "csv"),
      "commutative_4_transpose.csv"),
+    (("fuzzy", "--N", "257", "--format", "csv"), "fuzzy_257.csv"),
+    (("sweep", "--from", "44", "--to", "48", "--format", "csv"), "sweep_44_48.csv"),
 ])
 def test_output_matches_golden_file(capsys, argv, name):
     code, out, err = run(capsys, *argv)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from fuzzychern.bundles import build_fuzzy_projector, chern_character_form
+from fuzzychern.chern import volume_form
 from fuzzychern.linalg import (
     Banded,
     ShapeError,
@@ -12,6 +14,7 @@ from fuzzychern.linalg import (
     normalized_trace,
     partial_trace,
 )
+from fuzzychern.su2 import SpinLabel, fuzzy_coordinates
 
 SIGMA3 = np.diag([1.0, -1.0])
 
@@ -151,6 +154,75 @@ def test_banded_matches_dense(n, offs_a, offs_b):
     assert max_abs(a) == np.max(np.abs(A))
     assert frobenius_norm(a) == pytest.approx(np.linalg.norm(A), rel=1e-14)
     assert np.array_equal(commutator(a, b).toarray(), (a @ b - b @ a).toarray())
+
+
+def matmul_by_diagonal_pairs(a, b):
+    """Reference product: C[i, i + p + q] += A[i, i + p] B[i + p, i + p + q],
+    one entry at a time, over the diagonal pairs (p, q) in p-major order.
+
+    Each entry's product goes through numpy's array multiply, as in the
+    kernel: its vector loop may fuse multiply and add, so Python's scalar
+    complex product can differ from it in the last bit."""
+    n = a.shape[0]
+    out = np.zeros((n, n), dtype=np.complex128)
+    for p, row in zip(a.offsets.tolist(), a.data):
+        for q, col in zip(b.offsets.tolist(), b.data):
+            for i in range(max(0, -p, -p - q), n - max(0, p, p + q)):
+                out[i, i + p + q] += (row[i:i + 1] * col[i + p:i + p + 1])[0]
+    return out
+
+
+@pytest.mark.parametrize("n,offs_a,offs_b", BANDED_CASES)
+def test_banded_matmul_sums_diagonal_pairs_in_order(n, offs_a, offs_b):
+    # bit for bit: a product that summed its pairs in another order would
+    # round differently, and the reports would not reproduce
+    a, b = random_banded(n, offs_a), random_banded(n, offs_b)
+    for x, y in ((a, b), (b, a), (a, a)):
+        expected = matmul_by_diagonal_pairs(x, y)
+        product = x @ y
+        assert np.array_equal(product.toarray(), expected)
+        assert list(product.offsets) == [o for o in range(1 - n, n)
+                                         if np.diagonal(expected, o).any()]
+
+
+def test_banded_empty_operands_keep_their_shape():
+    a = random_banded(6, (-1, 0, 2))
+    empty = a - a
+    for result in (empty @ a, a @ empty, empty @ empty, empty + a, a + empty,
+                   a - empty, empty - a, empty + empty, empty - empty):
+        assert result.shape == (6, 6)
+    for result in (empty @ a, a @ empty, empty @ empty, empty + empty, empty - empty):
+        assert len(result.offsets) == 0
+    assert np.array_equal((empty + a).toarray(), a.toarray())
+    assert np.array_equal((a - empty).toarray(), a.toarray())
+    assert np.array_equal((empty - a).toarray(), -a.toarray())
+
+
+def test_banded_matmul_drops_offsets_outside_the_matrix():
+    # the pairs (3, 3), (3, 4), (4, 4) and their negatives sum to offsets
+    # beyond a 5 x 5 matrix; only the sums 0 and +-1 are diagonals of it
+    n = 5
+    a = random_banded(n, (-4, -3, 3, 4))
+    product = a @ a
+    assert list(product.offsets) == [-1, 0, 1]
+    assert np.max(np.abs(product.toarray() - a.toarray() @ a.toarray())) <= 1e-13
+
+
+def test_banded_scaling_by_zero_drops_every_diagonal():
+    a = random_banded(6, (-1, 0, 2))
+    for zero in (0 * a, a * 0.0, 0j * a):
+        assert len(zero.offsets) == 0 and zero.shape == (6, 6)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_banded_diagonal_counts_stay_bounded_at_n_1000(sign):
+    # products and sums in the pipeline cancel whole diagonals; without the
+    # zero scan of @ or of + and - the offsets of p and of F grow
+    coords = fuzzy_coordinates(SpinLabel.from_dimension(1000), banded=True)
+    p = build_fuzzy_projector(coords, sign)
+    assert list(p.realization.offsets) == [-999, 0, 999]
+    assert all(len(f.offsets) <= 6 for f in chern_character_form(coords, p).components)
+    assert all(len(w.offsets) in (1, 2) for w in volume_form(coords).components)
 
 
 def test_banded_from_diagonals_layout():
