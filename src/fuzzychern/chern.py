@@ -45,7 +45,7 @@ EPSILON = (
 # and 45 keeps the last digits of every report for N in 41..45.
 DENSE_MAX_N = 45
 
-# a banded fuzzy --N run's RSS grows ~2.2 KB per N (77 MB at N = 2e4, 253 MB at 1e5)
+# a banded fuzzy --N run's RSS grows ~2.2 KB per N (73 MB at N = 2e4, 250 MB at 1e5)
 REPORT_BYTES_PER_N = 3000
 
 

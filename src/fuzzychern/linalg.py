@@ -90,8 +90,8 @@ class Banded:
         offsets = np.array(sorted({*ours, *theirs}), dtype=np.int64)
         data = np.zeros((len(offsets), n), dtype=np.complex128)
         data[np.searchsorted(offsets, self.offsets)] = self.data
-        rows = np.searchsorted(offsets, other.offsets)
-        data[rows] = op(data[rows], other.data)
+        for k, row in zip(np.searchsorted(offsets, other.offsets).tolist(), other.data):
+            op(data[k], row, out=data[k])
         return Banded(offsets, data)
 
     def __add__(self, other):
