@@ -290,7 +290,8 @@ def test_verify_above_32_builds_a_doubling_ladder(capsys, count_calls):
 # sweep, fuzzy and verify files before reports shared their volume form, the
 # commutative files before the oracle built p_k in one product-rule pass, the
 # fuzzy_257 and sweep_44_48 files (banded, and across DENSE_MAX_N) before the
-# Banded kernels multiplied diagonal pairs by slices
+# Banded kernels multiplied diagonal pairs by slices, the commutative_5_16x32
+# file before the oracle ran on state vectors
 @pytest.mark.parametrize("argv, name", [
     (("sweep", "--from", "2", "--to", "12"), "sweep_2_12.table"),
     (("sweep", "--from", "2", "--to", "12", "--format", "csv"), "sweep_2_12.csv"),
@@ -304,6 +305,8 @@ def test_verify_above_32_builds_a_doubling_ladder(capsys, count_calls):
      "commutative_4_transpose.csv"),
     (("fuzzy", "--N", "257", "--format", "csv"), "fuzzy_257.csv"),
     (("sweep", "--from", "44", "--to", "48", "--format", "csv"), "sweep_44_48.csv"),
+    (("commutative", "--k", "5", "--grid", "16x32", "--format", "csv"),
+     "commutative_5_16x32.csv"),
 ])
 def test_output_matches_golden_file(capsys, argv, name):
     code, out, err = run(capsys, *argv)
