@@ -16,7 +16,7 @@ from .calculus import d0, d1, derive, scalar_form, wedge
 from .chern import DENSE_MAX_N, REPORT_BYTES_PER_N, gamma_formula, reports_for, sweep
 from .invariants import BOUNDS, InvariantError
 from .linalg import commutator, frobenius_norm, identity_like, kron, max_abs, normalized_trace
-from .sphere_oracle import ORACLE_STACKS, build_quadrature, chern_number_commutative, volume_check
+from .sphere_oracle import CHUNK_BYTES, build_quadrature, chern_number_commutative, volume_check
 from .su2 import SpinLabel, fuzzy_coordinates
 
 # column header -> ChernReport attribute
@@ -99,9 +99,10 @@ def cmd_commutative(args):
         n_polar, n_azimuthal = (int(v) for v in args.grid.split("x"))
     except ValueError:
         raise UsageError("--grid must look like 64x128")
-    # the node stacks, and the n_polar^2 companion matrix leggauss eigen-solves
+    # one chunk of state vectors, about 84 B of grid and density arrays per
+    # node, and the n_polar^2 companion matrix leggauss eigen-solves
     _check_memory("--k %d --grid %s" % (args.k, args.grid),
-                  16 * (ORACLE_STACKS * 4**args.k * n_polar * n_azimuthal + n_polar**2))
+                  CHUNK_BYTES + 96 * n_polar * n_azimuthal + 16 * n_polar**2)
     try:
         grid = build_quadrature(n_polar, n_azimuthal)
     except ValueError as exc:
@@ -212,11 +213,11 @@ def _verify_suites(max_n):
     )
     yield within("s2-oracle", worst)
 
-    # commutative limit
-    ok = all(
-        abs(gamma_formula(N, s) - (1.0 if s == "plus" else -1.0)) <= 2.0 / N
-        for N in range(4, max_n + 1) for s in ("plus", "minus")
-    )
+    # commutative limit: gamma_pm(N) at every N >= 4, the computed c1 on the ladder
+    limits = [((N, s, gamma_formula(N, s)) for N in range(4, max_n + 1)
+               for s in ("plus", "minus")),
+              ((r.N, r.sign, r.c1_computed) for r in reports if r.N >= 4)]
+    ok = all(abs(c1 - (1.0 if s == "plus" else -1.0)) <= 2.0 / N for g in limits for N, s, c1 in g)
     yield "commutative-limit", ok, "gamma deviation bound 2/N"
 
 

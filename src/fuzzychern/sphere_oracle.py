@@ -2,16 +2,19 @@
 
 Integrates the curvature of the rank-one projector (1 + sigma.x)/2, its
 transpose, and its Kronecker tensor powers over S^2, reproducing the
-integer charges +-1 and +-k. Gauss-Legendre nodes in cos(theta) crossed
-with a uniform trapezoidal rule in phi; derivatives of the projector are
-analytic (it is affine in x). Grid evaluation is batched over the nodes.
+integer charges +-1 and +-k. The projector is |psi><psi| with the state
+vector psi = (cos theta/2, e^{i phi} sin theta/2), its transpose projects
+onto conj(psi), and its k-th power onto psi^{(x)k}; so the curvature is the
+Berry curvature of a 2^k vector, never a 4^k matrix. Gauss-Legendre nodes in
+cos(theta) crossed with a uniform trapezoidal rule in phi; chart derivatives
+are analytic. Nodes are processed in chunks under one fixed byte budget.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundles import MAX_TENSOR_POWER, PAULI
+from .bundles import MAX_TENSOR_POWER
 from .invariants import require
 
 __all__ = [
@@ -23,9 +26,8 @@ __all__ = [
 ]
 
 
-# chern_number_commutative peaks at about this many node stacks of 4^k complex
-# entries: +480 MB from k = 4 to 5 on 64x128, where one stack grows by 101 MB
-ORACLE_STACKS = 5
+# the state vectors of one chunk of nodes peak below this many bytes, at any k
+CHUNK_BYTES = 2**25
 
 
 @dataclass(frozen=True)
@@ -62,37 +64,26 @@ def build_quadrature(n_polar, n_azimuthal):
     )
 
 
-def _batched_kron(a, b):
-    """Kronecker product over the trailing two axes of stacked matrices."""
-    m = a.shape[0]
-    out = np.einsum("mij,mkl->mikjl", a, b)
-    return out.reshape(m, a.shape[1] * b.shape[1], a.shape[2] * b.shape[2])
-
-
 def _projectors_and_derivatives(k, transpose, theta, phi):
-    """Stacked p_k, d_theta p_k, d_phi p_k at each (theta, phi) node."""
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
-    x = np.stack([st * cp, st * sp, ct], axis=-1)
-    dx_dt = np.stack([ct * cp, ct * sp, -st], axis=-1)
-    dx_dp = np.stack([-st * sp, st * cp, np.zeros_like(st)], axis=-1)
+    """Stacked psi_k, d_theta psi_k, d_phi psi_k, each (m, 2**k), at each
+    (theta, phi) node; p_k = psi_k psi_k^dagger."""
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    e = np.exp(1j * phi)
+    psi = np.stack([c + 0j, e * s], axis=-1)
+    pt = np.stack([-s / 2.0 + 0j, e * c / 2.0], axis=-1)
+    pp = np.stack([np.zeros_like(psi[:, 0]), 1j * e * s], axis=-1)
+    if transpose:  # p^T = conj(p) projects onto conj(psi)
+        psi, pt, pp = psi.conj(), pt.conj(), pp.conj()
 
-    sigma = np.stack(PAULI)  # (3, 2, 2)
-    if transpose:
-        sigma = np.transpose(sigma, (0, 2, 1))
+    def kron(a, b):
+        return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
 
-    def affine(v):
-        return np.einsum("ma,aij->mij", v, sigma) / 2.0
-
-    p = np.eye(2, dtype=np.complex128) / 2.0 + affine(x)
-    pt = affine(dx_dt)
-    pp = affine(dx_dp)
-    big, d_theta, d_phi = p, pt, pp
-    # product rule, one Kronecker factor at a time
+    big, d_theta, d_phi = psi, pt, pp
+    # product rule, one tensor factor at a time
     for _ in range(k - 1):
-        d_theta = _batched_kron(d_theta, p) + _batched_kron(big, pt)
-        d_phi = _batched_kron(d_phi, p) + _batched_kron(big, pp)
-        big = _batched_kron(big, p)
+        d_theta = kron(d_theta, psi) + kron(big, pt)
+        d_phi = kron(d_phi, psi) + kron(big, pp)
+        big = kron(big, psi)
     return big, d_theta, d_phi
 
 
@@ -100,13 +91,22 @@ def curvature_densities(k, transpose, theta, phi):
     """F_tp at each node, with tr p_k (dp_k)(dp_k) = F_tp dtheta ^ dphi."""
     if not 1 <= k <= MAX_TENSOR_POWER:
         raise ValueError("k must be in 1..%d, got %d" % (MAX_TENSOR_POWER, k))
-    p, dt, dp = _projectors_and_derivatives(k, transpose, theta, phi)
-    return np.einsum("mij,mji->m", p, dt @ dp - dp @ dt)
+    out = np.empty(len(theta), dtype=np.complex128)
+    # building the stacks holds at most about 5 arrays of 2^k entries per node
+    step = max(1, CHUNK_BYTES // (6 * 16 * 2**k))
+    for lo in range(0, len(theta), step):
+        psi, dt, dp = _projectors_and_derivatives(
+            k, transpose, theta[lo:lo + step], phi[lo:lo + step])
+        # F_tp = a - conj(a), a = <dt psi|dp psi> - <dt psi|psi><psi|dp psi>
+        a = np.vecdot(dt, dp) - np.vecdot(dt, psi) * np.vecdot(psi, dp)
+        out[lo:lo + step] = a - a.conj()
+        del psi, dt, dp  # before the next chunk is built
+    return out
 
 
 def curvature_density(k, transpose, theta, phi):
     """Pointwise curvature-form coefficient in the (theta, phi) chart."""
-    return complex(curvature_densities(k, transpose, [theta], [phi])[0])
+    return complex(curvature_densities(k, transpose, np.array([theta]), np.array([phi]))[0])
 
 
 def chern_number_commutative(k, transpose, grid):

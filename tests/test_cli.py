@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from collections import Counter
@@ -115,6 +116,12 @@ def test_commutative_json_keeps_15_significant_digits(capsys, argv):
         assert row[key] == float("%.15g" % row[key])
 
 
+def test_commutative_runs_the_highest_tensor_power(capsys):
+    code, out, _ = run(capsys, "commutative", "--k", "12", "--grid", "16x32", "--format", "json")
+    assert code == 0
+    assert abs(json.loads(out)["c1"] - 12.0) <= 1e-8
+
+
 def test_commutative_k_out_of_range(capsys):
     code, _, _ = run(capsys, "commutative", "--k", "13")
     assert code == 2
@@ -153,6 +160,21 @@ def test_verify_fails_the_suite_whose_bound_no_residual_meets(capsys, monkeypatc
     assert out.endswith("1 suite(s) failed\n")
 
 
+def test_verify_checks_each_computed_c1_against_the_commutative_limit(capsys, monkeypatch):
+    # c1 = -1 + 2.5/N at N = 8 is off the bound |c1 + 1| <= 2/N; no other suite reads c1
+    def off_limit(n_values):
+        reports = chern.sweep(n_values)
+        assert (reports[-1].N, reports[-1].sign) == (8, "minus")
+        return reports[:-1] + [dataclasses.replace(reports[-1], c1_computed=-1.0 + 2.5 / 8)]
+
+    monkeypatch.setattr(cli, "sweep", off_limit)
+    code, out, _ = run(capsys, "verify", "--max-N", "8")
+    assert code == 1
+    failed = [l.split()[0] for l in out.splitlines() if " FAIL " in l]
+    assert failed == ["commutative-limit"]
+    assert out.endswith("1 suite(s) failed\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("commutative", "--grid", "1x4"),
     ("verify", "--max-N", "1"),
@@ -188,12 +210,14 @@ def test_memory_estimate_refuses_before_allocating(capsys, monkeypatch, argv):
 
 
 def test_oracle_memory_estimate_refuses_before_allocating(capsys, monkeypatch):
-    # 5 stacks of 4**12 complex entries on 64x128 nodes is about 11 TB
+    # the state vectors are chunked, so only the per-node arrays can outgrow
+    # memory: about 84 B on each of 4e11 nodes is over 30 TB
     def never(*args, **kwargs):
         raise AssertionError("the oracle was started")
 
+    monkeypatch.setattr(cli, "build_quadrature", never)
     monkeypatch.setattr(cli, "chern_number_commutative", never)
-    code, out, err = run(capsys, "commutative", "--k", "12")
+    code, out, err = run(capsys, "commutative", "--k", "12", "--grid", "4x100000000000")
     assert code == 2
     assert_one_error_line(out, err)
     assert "physical memory" in err
@@ -291,7 +315,9 @@ def test_verify_above_32_builds_a_doubling_ladder(capsys, count_calls):
 # commutative files before the oracle built p_k in one product-rule pass, the
 # fuzzy_257 and sweep_44_48 files (banded, and across DENSE_MAX_N) before the
 # Banded kernels multiplied diagonal pairs by slices, the commutative_5_16x32
-# file before the oracle ran on state vectors
+# file before the oracle ran on state vectors. verify_8 was recaptured after
+# that: its s2-oracle residual fell from 4.441e-16 to 2.220e-16, because the
+# k = 2 charge on 64x128 became exactly 2
 @pytest.mark.parametrize("argv, name", [
     (("sweep", "--from", "2", "--to", "12"), "sweep_2_12.table"),
     (("sweep", "--from", "2", "--to", "12", "--format", "csv"), "sweep_2_12.csv"),

@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 
 from fuzzychern import sphere_oracle
-from fuzzychern.bundles import PointOnSphere, tensor_power_projector
+from fuzzychern.bundles import PointOnSphere
 from fuzzychern.chern import gamma_formula
 from fuzzychern.sphere_oracle import (
     build_quadrature,
     chern_number_commutative,
     curvature_density,
     volume_check,
+)
+from oracle_reference import (
+    matrix_curvature_densities,
+    matrix_projectors_and_derivatives,
+    outer,
+    power_projector,
 )
 
 rng = np.random.default_rng(4242)
@@ -21,10 +27,10 @@ def grid():
     return build_quadrature(64, 128)
 
 
-def random_angles(n):
+def random_angles(n, gen=rng):
     # stay away from the poles so 1/sin(theta) is tame
-    theta = np.arccos(rng.uniform(-0.999, 0.999, n))
-    phi = rng.uniform(0.0, 2.0 * np.pi, n)
+    theta = np.arccos(gen.uniform(-0.999, 0.999, n))
+    phi = gen.uniform(0.0, 2.0 * np.pi, n)
     return theta, phi
 
 
@@ -94,11 +100,6 @@ def test_volume_normalization():
         assert abs(volume_check(g) - 1.0) <= 1e-12
 
 
-def power_projector(k, transpose, theta, phi):
-    pk = tensor_power_projector(PointOnSphere.from_angles(theta, phi), k)
-    return pk.T if transpose else pk
-
-
 def finite_difference_density(k, theta, phi, h=1e-5, transpose=False):
     """Independent check: central differences of the projector itself."""
     proj = functools.partial(power_projector, k, transpose)
@@ -120,26 +121,63 @@ def test_finite_difference_cross_check():
 
 def test_chart_derivatives_match_finite_differences():
     # the curvature alone cannot see every wrong derivative: p dp p = 0 hides
-    # a misplaced Kronecker factor, so compare the matrices themselves
+    # a misplaced tensor factor, so compare the matrices themselves
     h = 1e-5
     theta, phi = np.array([0.3, 1.2, 2.5]), np.array([0.1, 2.0, 4.4])
     for k in (1, 2, 3, 4):
         for transpose in (False, True):
-            p, dt, dp = sphere_oracle._projectors_and_derivatives(k, transpose, theta, phi)
+            psi, dt, dp = sphere_oracle._projectors_and_derivatives(k, transpose, theta, phi)
+            p = outer(psi, psi)
+            d_theta = outer(dt, psi) + outer(psi, dt)
+            d_phi = outer(dp, psi) + outer(psi, dp)
             pk = functools.partial(power_projector, k, transpose)
             for m, (t, f) in enumerate(zip(theta, phi)):
                 assert np.max(np.abs(p[m] - pk(t, f))) <= 1e-14
                 fd_t = (pk(t + h, f) - pk(t - h, f)) / (2.0 * h)
                 fd_p = (pk(t, f + h) - pk(t, f - h)) / (2.0 * h)
-                assert np.max(np.abs(dt[m] - fd_t)) <= 1e-8
-                assert np.max(np.abs(dp[m] - fd_p)) <= 1e-8
+                assert np.max(np.abs(d_theta[m] - fd_t)) <= 1e-8
+                assert np.max(np.abs(d_phi[m] - fd_p)) <= 1e-8
 
 
-def test_product_rule_makes_five_kronecker_products_per_factor(count_calls):
-    # each of the k - 1 steps extends p_k and both chart derivatives once
-    krons = count_calls(sphere_oracle, "_batched_kron")
-    assert abs(chern_number_commutative(4, False, build_quadrature(4, 8)) - 4.0) <= 1e-8
-    assert len(krons) == 15
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 12])
+def test_product_rule_returns_three_state_vector_stacks(k):
+    theta, phi = random_angles(5, np.random.default_rng(k))
+    stacks = sphere_oracle._projectors_and_derivatives(k, False, theta, phi)
+    assert [s.shape for s in stacks] == [(5, 2**k)] * 3
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_state_vectors_match_the_matrix_reference(k, transpose):
+    theta, phi = random_angles(40, np.random.default_rng(10 * k + transpose))
+    psi, _, _ = sphere_oracle._projectors_and_derivatives(k, transpose, theta, phi)
+    p, _, _ = matrix_projectors_and_derivatives(k, transpose, theta, phi)
+    assert np.max(np.abs(outer(psi, psi) - p)) <= 1e-14
+    dens = sphere_oracle.curvature_densities(k, transpose, theta, phi)
+    assert np.max(np.abs(dens - matrix_curvature_densities(k, transpose, theta, phi))) <= 1e-13
+
+
+def test_chunks_do_not_change_the_densities(monkeypatch):
+    g = build_quadrature(16, 32)
+    whole = sphere_oracle.curvature_densities(5, True, g.thetas, g.phis)
+    # 3 nodes a chunk, the last one short
+    monkeypatch.setattr(sphere_oracle, "CHUNK_BYTES", 3 * 6 * 16 * 2**5)
+    chunked = sphere_oracle.curvature_densities(5, True, g.thetas, g.phis)
+    assert np.array_equal(chunked, whole)
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_integer_charges_up_to_max_tensor_power(k):
+    g = build_quadrature(16, 32)
+    assert abs(chern_number_commutative(k, False, g) - k) <= 1e-8
+    assert abs(chern_number_commutative(k, True, g) + k) <= 1e-8
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_integer_charges_on_the_coarsest_grid(k):
+    g = build_quadrature(4, 8)
+    assert abs(chern_number_commutative(k, False, g) - k) <= 1e-8
+    assert abs(chern_number_commutative(k, True, g) + k) <= 1e-8
 
 
 def test_finite_difference_charge():
