@@ -93,7 +93,7 @@ def curvature_densities(k, transpose, theta, phi):
         raise ValueError("k must be in 1..%d, got %d" % (MAX_TENSOR_POWER, k))
     out = np.empty(len(theta), dtype=np.complex128)
     # building the stacks holds at most about 5 arrays of 2^k entries per node
-    step = max(1, CHUNK_BYTES // (6 * 16 * 2**k))
+    step = CHUNK_BYTES // (6 * 16 * 2**k)
     for lo in range(0, len(theta), step):
         psi, dt, dp = _projectors_and_derivatives(
             k, transpose, theta[lo:lo + step], phi[lo:lo + step])

@@ -166,16 +166,10 @@ def test_chunks_do_not_change_the_densities(monkeypatch):
     assert np.array_equal(chunked, whole)
 
 
-@pytest.mark.parametrize("k", range(1, 13))
-def test_integer_charges_up_to_max_tensor_power(k):
-    g = build_quadrature(16, 32)
-    assert abs(chern_number_commutative(k, False, g) - k) <= 1e-8
-    assert abs(chern_number_commutative(k, True, g) + k) <= 1e-8
-
-
-@pytest.mark.parametrize("k", range(1, 9))
-def test_integer_charges_on_the_coarsest_grid(k):
-    g = build_quadrature(4, 8)
+@pytest.mark.parametrize("n_polar, n_azimuthal, k",
+                         [(16, 32, k) for k in range(1, 13)] + [(4, 8, k) for k in range(1, 9)])
+def test_integer_charges_up_to_max_tensor_power(n_polar, n_azimuthal, k):
+    g = build_quadrature(n_polar, n_azimuthal)
     assert abs(chern_number_commutative(k, False, g) - k) <= 1e-8
     assert abs(chern_number_commutative(k, True, g) + k) <= 1e-8
 
