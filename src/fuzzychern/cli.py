@@ -214,10 +214,10 @@ def _verify_suites(max_n):
     yield within("s2-oracle", worst)
 
     # commutative limit: gamma_pm(N) at every N >= 4, the computed c1 on the ladder
-    limits = [((N, s, gamma_formula(N, s)) for N in range(4, max_n + 1)
-               for s in ("plus", "minus")),
-              ((r.N, r.sign, r.c1_computed) for r in reports if r.N >= 4)]
-    ok = all(abs(c1 - (1.0 if s == "plus" else -1.0)) <= 2.0 / N for g in limits for N, s, c1 in g)
+    ok = all(abs(gamma_formula(N, s) - (1.0 if s == "plus" else -1.0)) <= 2.0 / N
+             for N in range(4, max_n + 1) for s in ("plus", "minus")) and all(
+        abs(r.c1_computed - (1.0 if r.sign == "plus" else -1.0)) <= 2.0 / r.N
+        for r in reports if r.N >= 4)
     yield "commutative-limit", ok, "gamma deviation bound 2/N"
 
 

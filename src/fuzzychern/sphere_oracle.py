@@ -98,9 +98,10 @@ def curvature_densities(k, transpose, theta, phi):
         psi, dt, dp = _projectors_and_derivatives(
             k, transpose, theta[lo:lo + step], phi[lo:lo + step])
         # F_tp = a - conj(a), a = <dt psi|dp psi> - <dt psi|psi><psi|dp psi>
-        a = np.vecdot(dt, dp) - np.vecdot(dt, psi) * np.vecdot(psi, dp)
+        bra, ket = dt.conj()[:, None], dp[..., None]  # (m, 1, 2^k) rows, (m, 2^k, 1) columns
+        a = (bra @ ket - (bra @ psi[..., None]) * (psi.conj()[:, None] @ ket))[:, 0, 0]
         out[lo:lo + step] = a - a.conj()
-        del psi, dt, dp  # before the next chunk is built
+        del psi, dt, dp, bra, ket  # before the next chunk is built
     return out
 
 

@@ -4,6 +4,7 @@ import re
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fuzzychern import bundles, chern, cli, invariants
@@ -120,6 +121,27 @@ def test_commutative_runs_the_highest_tensor_power(capsys):
     code, out, _ = run(capsys, "commutative", "--k", "12", "--grid", "16x32", "--format", "json")
     assert code == 0
     assert abs(json.loads(out)["c1"] - 12.0) <= 1e-8
+
+
+# functions numpy added in 2.0, which pyproject.toml's numpy>=1.24 does not have
+NUMPY_2_ONLY = {
+    np: ("vecdot", "matvec", "vecmat", "concat", "unstack", "permute_dims", "matrix_transpose",
+         "astype", "isdtype", "cumulative_sum", "cumulative_prod"),
+    np.linalg: ("vecdot", "matrix_norm", "vector_norm", "matrix_transpose", "outer",
+                "diagonal", "trace", "svdvals", "tensordot"),
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ("commutative", "--k", "4", "--transpose"),
+    ("verify", "--max-N", "8"),
+])
+def test_runs_without_numpy_2_only_functions(capsys, monkeypatch, argv):
+    for module, names in NUMPY_2_ONLY.items():
+        for name in names:
+            monkeypatch.delattr(module, name, raising=False)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
 
 
 def test_commutative_k_out_of_range(capsys):
