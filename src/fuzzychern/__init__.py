@@ -17,7 +17,6 @@ from .chern import (
     gamma_formula,
     report_for,
     reports_for,
-    star_integral,
     sweep,
     volume_form,
 )

@@ -13,15 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundles import build_fuzzy_projector, chern_character_form
-from .calculus import d0, scalar_form, wedge
+from .calculus import GradedForm
 from .invariants import require
-from .linalg import ShapeError, hs_inner, normalized_trace
+from .linalg import ShapeError, hs_inner
 from .su2 import SpinLabel, fuzzy_coordinates
 
 __all__ = [
     "ChernReport",
     "volume_form",
-    "star_integral",
     "extract_coefficient",
     "gamma_formula",
     "chern_number",
@@ -29,16 +28,6 @@ __all__ = [
     "report_for",
     "sweep",
 ]
-
-# eps_{abc} as (a, b, c, sign) over the nonzero entries
-EPSILON = (
-    (1, 2, 3, 1.0),
-    (2, 3, 1, 1.0),
-    (3, 1, 2, 1.0),
-    (1, 3, 2, -1.0),
-    (3, 2, 1, -1.0),
-    (2, 1, 3, -1.0),
-)
 
 # report_for stays dense up to this N: the banded pipeline's ~4 ms per-report
 # overhead drops below the dense O(N^3) cost near N = 40 (2 OpenBLAS threads),
@@ -66,19 +55,20 @@ class ChernReport:
 
 
 def volume_form(coords):
-    """omega = eps_abc X_a dX_b ^ dX_c / (8 pi), a scalar-valued two-form."""
-    dx = {a: d0(coords, coords.axis(a)) for a in (1, 2, 3)}
-    total = None
-    for a, b, c, s in EPSILON:
-        xa = scalar_form(coords.axis(a), module_rank=1, algebra_dim=coords.N)
-        term = wedge(xa, wedge(dx[b], dx[c])).scale(s)
-        total = term if total is None else total + term
-    return total.scale(1.0 / (8.0 * np.pi))
+    """omega = eps_abc X_a dX_b ^ dX_c / (8 pi), a scalar-valued two-form,
+    in closed form: its theta^a ^ theta^b component is lam eps_abc X_c with
+    lam = (kappa^2 - 2) / (8 pi).
 
-
-def star_integral(f):
-    """Integral of f against the fuzzy volume: tr_N f."""
-    return normalized_trace(f)
+    From [X_a, X_b] = i kappa eps_abc X_c, dX_b = e_a(X_b) theta^a =
+    i eps_abc X_c theta^a. Contracting eps_abc eps_dbf over b and using
+    eps_efg X_f X_g = i kappa X_e and sum_a X_a^2 = 1, the theta^d theta^e
+    coefficient of eps_abc X_a dX_b dX_c is -(i kappa X_d X_e + eps_deg X_g).
+    Antisymmetrising in (d, e) turns i kappa [X_d, X_e] into
+    -kappa^2 eps_deg X_g, which leaves (kappa^2 - 2) eps_deg X_g. So omega
+    takes no matrix product, dense or banded.
+    """
+    lam = (coords.kappa**2 - 2.0) / (8.0 * np.pi)
+    return GradedForm(2, 1, coords.N, (lam * coords.X3, -lam * coords.X2, lam * coords.X1))
 
 
 def extract_coefficient(F, omega):
@@ -128,7 +118,7 @@ def chern_number(projector, coords, omega):
     lam, residual = extract_coefficient(F, omega)
     at = "N=%d sign=%+d" % (projector.N, projector.sign)
     require("curvature", residual, at)
-    # c1 = lambda * star_integral(1) / (2 pi i), and star_integral(1) = tr_N(1)/N = 1
+    # c1 = lambda * tr_N(1) / (2 pi i), and the normalized trace tr_N(1) = N/N = 1
     c1 = lam / (2.0j * np.pi)
     require("charge-imag", abs(c1.imag), at)
     gamma = gamma_formula(projector.N, projector.sign)

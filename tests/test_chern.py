@@ -10,11 +10,12 @@ from fuzzychern.chern import (
     gamma_formula,
     report_for,
     reports_for,
-    star_integral,
     sweep,
     volume_form,
 )
+from fuzzychern.linalg import max_abs, normalized_trace
 from fuzzychern.su2 import SpinLabel, fuzzy_coordinates
+from volume_reference import derived_volume_form
 
 rng = np.random.default_rng(31415)
 
@@ -25,16 +26,16 @@ def make_coords(N):
 
 def test_star_integral_identity():
     for N in (2, 5, 9):
-        assert star_integral(np.eye(N)) == pytest.approx(1.0)
+        assert normalized_trace(np.eye(N)) == pytest.approx(1.0)
 
 
 def test_star_integral_traceless():
     coords = make_coords(4)
-    assert abs(star_integral(coords.X3)) <= 1e-13
+    assert abs(normalized_trace(coords.X3)) <= 1e-13
 
 
 def test_star_integral_linearity():
-    assert star_integral(2.5j * np.eye(3)) == pytest.approx(2.5j)
+    assert normalized_trace(2.5j * np.eye(3)) == pytest.approx(2.5j)
 
 
 def test_volume_form_components_selfadjoint():
@@ -66,6 +67,28 @@ def test_volume_form_unitary_covariance():
     om_rot = volume_form(rotated)
     for c, cr in zip(om.components, om_rot.components):
         assert np.max(np.abs(cr - q @ c @ q.conj().T)) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [*range(2, 13), 33, 45, 46, 64, 257, 1000])
+def test_volume_form_matches_the_derived_form(N):
+    # dense up to DENSE_MAX_N, banded above it, as reports_for builds them
+    coords = fuzzy_coordinates(SpinLabel.from_dimension(N), banded=N > DENSE_MAX_N)
+    closed, derived = volume_form(coords), derived_volume_form(coords)
+    for c, d in zip(closed.components, derived.components):
+        assert max_abs(c - d) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [8, 64])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_report_derives_only_the_projector(count_calls, N, sign):
+    # d0(p) is three derivations and F = p dp ^ dp two wedges; omega takes none
+    from fuzzychern import calculus
+
+    derives = count_calls(calculus, "derive")
+    wedges = count_calls(calculus, "wedge")
+    report_for(N, sign)
+    assert len(derives) == 3
+    assert len(wedges) == 2
 
 
 def test_extract_coefficient_exact_multiple():

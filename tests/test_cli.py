@@ -339,8 +339,11 @@ def test_verify_above_32_builds_a_doubling_ladder(capsys, count_calls):
 # Banded kernels multiplied diagonal pairs by slices, the commutative_5_16x32
 # file before the oracle ran on state vectors. verify_8 was recaptured after
 # that: its s2-oracle residual fell from 4.441e-16 to 2.220e-16, because the
-# k = 2 charge on 64x128 became exactly 2
-@pytest.mark.parametrize("argv, name", [
+# k = 2 charge on 64x128 became exactly 2. The sweep, fuzzy and verify files
+# were recaptured when omega took its closed form instead of the product
+# eps_abc X_a dX_b ^ dX_c: c1 moved by at most one unit in its 15th printed
+# digit, and the commutative files stayed byte-identical
+GOLDEN_CASES = [
     (("sweep", "--from", "2", "--to", "12"), "sweep_2_12.table"),
     (("sweep", "--from", "2", "--to", "12", "--format", "csv"), "sweep_2_12.csv"),
     (("sweep", "--from", "2", "--to", "12", "--format", "json"), "sweep_2_12.json"),
@@ -355,8 +358,18 @@ def test_verify_above_32_builds_a_doubling_ladder(capsys, count_calls):
     (("sweep", "--from", "44", "--to", "48", "--format", "csv"), "sweep_44_48.csv"),
     (("commutative", "--k", "5", "--grid", "16x32", "--format", "csv"),
      "commutative_5_16x32.csv"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, name", GOLDEN_CASES)
 def test_output_matches_golden_file(capsys, argv, name):
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     assert out == (GOLDEN / name).read_text()
+
+
+def test_golden_files_are_exactly_the_cases():
+    # no stale file after a recapture, and no case without its file
+    names = [name for _, name in GOLDEN_CASES]
+    assert len(set(names)) == len(names)
+    assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(names)
