@@ -1,4 +1,4 @@
-"""Fuzzy volume form, trace integral, and Chern numbers.
+"""Fuzzy volume form, coefficient extraction, and Chern numbers.
 
 The charge pipeline: curvature two-form F of the fuzzy projector, least
 squares extraction of its scalar coefficient against the volume form omega,
@@ -29,9 +29,9 @@ __all__ = [
     "sweep",
 ]
 
-# report_for stays dense up to this N: the banded pipeline's ~4 ms per-report
-# overhead drops below the dense O(N^3) cost near N = 40 (2 OpenBLAS threads),
-# and 45 keeps the last digits of every report for N in 41..45.
+# report_for stays dense up to this N: the banded pipeline's ~2.5 ms per-report
+# overhead drops below the dense O(N^3) cost near N = 36 (2 OpenBLAS threads),
+# and 45 keeps the last digits of every report for N in 37..45.
 DENSE_MAX_N = 45
 
 # a banded fuzzy --N run's RSS grows ~2.2 KB per N (73 MB at N = 2e4, 250 MB at 1e5)
@@ -60,12 +60,13 @@ def volume_form(coords):
     lam = (kappa^2 - 2) / (8 pi).
 
     From [X_a, X_b] = i kappa eps_abc X_c, dX_b = e_a(X_b) theta^a =
-    i eps_abc X_c theta^a. Contracting eps_abc eps_dbf over b and using
-    eps_efg X_f X_g = i kappa X_e and sum_a X_a^2 = 1, the theta^d theta^e
-    coefficient of eps_abc X_a dX_b dX_c is -(i kappa X_d X_e + eps_deg X_g).
-    Antisymmetrising in (d, e) turns i kappa [X_d, X_e] into
-    -kappa^2 eps_deg X_g, which leaves (kappa^2 - 2) eps_deg X_g. So omega
-    takes no matrix product, dense or banded.
+    i eps_abc X_c theta^a. So eps_abc X_a dX_b ^ dX_c = T_de theta^d ^ theta^e,
+    summed over all d and e, and contracting eps_abc eps_dbf over b, with
+    eps_efg X_f X_g = i kappa X_e and sum_a X_a^2 = 1, gives
+    T_de = -(i kappa X_d X_e + eps_deg X_g). The theta^d ^ theta^e component
+    (d < e) is T_de - T_ed = -(i kappa [X_d, X_e] + 2 eps_deg X_g)
+    = (kappa^2 - 2) eps_deg X_g. So omega takes no matrix product, dense or
+    banded.
     """
     lam = (coords.kappa**2 - 2.0) / (8.0 * np.pi)
     return GradedForm(2, 1, coords.N, (lam * coords.X3, -lam * coords.X2, lam * coords.X1))

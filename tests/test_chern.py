@@ -39,8 +39,7 @@ def test_star_integral_linearity():
 
 
 def test_volume_form_components_selfadjoint():
-    # each eps contraction carries two factors of i (one per coordinate
-    # differential), so the components come out exactly self-adjoint
+    # the components are real multiples of the self-adjoint coordinates
     for N in (2, 3, 5):
         for c in volume_form(make_coords(N)).components:
             assert np.max(np.abs(c - c.conj().T)) <= 1e-13
