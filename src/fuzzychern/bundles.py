@@ -1,9 +1,8 @@
-"""Projectors over the classical and fuzzy sphere and their curvature.
+"""The fuzzy projector and its curvature.
 
 The fuzzy projector is p = alpha + beta sigma_a (x) X_a with the two
-coefficient branches that make it idempotent; the classical side provides
-the rank-one projector (1 + sigma.x)/2 and its Kronecker tensor powers.
-Curvature is the Grassmann-connection two-form p (dp)(dp).
+coefficient branches that make it idempotent. Curvature is the
+Grassmann-connection two-form p (dp)(dp).
 """
 
 from dataclasses import dataclass, field
@@ -16,14 +15,11 @@ from .linalg import as_matrix, identity_like, kron, max_abs, normalized_trace
 
 __all__ = [
     "PAULI",
-    "PointOnSphere",
     "FuzzyProjector",
     "projector_coefficients",
-    "solve_projector_params",
     "build_fuzzy_projector",
-    "bott_projector",
-    "tensor_power_projector",
     "curvature",
+    "chern_character_form",
 ]
 
 PAULI = (
@@ -31,35 +27,6 @@ PAULI = (
     np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     np.array([[1, 0], [0, -1]], dtype=np.complex128),
 )
-
-MAX_TENSOR_POWER = 12
-
-
-class OffSphereError(ValueError):
-    """Point does not lie on the unit sphere."""
-
-
-@dataclass(frozen=True)
-class PointOnSphere:
-    x1: float
-    x2: float
-    x3: float
-
-    def __post_init__(self):
-        r = np.sqrt(self.x1**2 + self.x2**2 + self.x3**2)
-        if abs(r - 1.0) > 1e-10:
-            raise OffSphereError("|x| = %.12g, expected 1" % r)
-
-    @classmethod
-    def from_angles(cls, theta, phi):
-        return cls(
-            np.sin(theta) * np.cos(phi),
-            np.sin(theta) * np.sin(phi),
-            np.cos(theta),
-        )
-
-    def as_array(self):
-        return np.array([self.x1, self.x2, self.x3])
 
 
 def projector_coefficients(kappa, sign):
@@ -71,26 +38,6 @@ def projector_coefficients(kappa, sign):
         raise ValueError("sign must be +1 or -1, got %r" % (sign,))
     beta = sign / np.sqrt(4.0 + kappa**2)
     return (1.0 + beta * kappa) / 2.0, beta
-
-
-def solve_projector_params(kappa):
-    """All (alpha, beta) making alpha + beta sigma.X idempotent.
-
-    Solves alpha^2 + beta^2 = alpha together with 2 alpha - kappa beta = 1.
-    Returns a list of dicts with keys alpha, beta, trivial, residual; the two
-    nontrivial branches come from ``projector_coefficients``.
-    """
-    out = []
-    for sign in (1, -1):
-        alpha, beta = projector_coefficients(kappa, sign)
-        res = max(
-            abs(alpha**2 + beta**2 - alpha),
-            abs(2.0 * alpha - kappa * beta - 1.0),
-        )
-        out.append({"alpha": alpha, "beta": beta, "trivial": False, "residual": res})
-    for alpha, beta in ((0.0, 0.0), (1.0, 0.0)):
-        out.append({"alpha": alpha, "beta": beta, "trivial": True, "residual": 0.0})
-    return out
 
 
 @dataclass(frozen=True)
@@ -133,26 +80,6 @@ def build_fuzzy_projector(coords, sign):
     require("projector", max(proj.idempotency, proj.selfadjointness), at)
     require("beta-kappa", abs(beta * coords.kappa - sign / coords.N), at)
     return proj
-
-
-def bott_projector(point):
-    """(1 + sigma.x)/2 at a point of the unit sphere."""
-    x = point.as_array()
-    p = np.eye(2, dtype=np.complex128)
-    for a in range(3):
-        p += x[a] * PAULI[a]
-    return p / 2.0
-
-
-def tensor_power_projector(point, k):
-    """k-fold Kronecker power of the rank-one projector at the point."""
-    if not 1 <= k <= MAX_TENSOR_POWER:
-        raise ValueError("k must be in 1..%d, got %d" % (MAX_TENSOR_POWER, k))
-    p = bott_projector(point)
-    out = p
-    for _ in range(k - 1):
-        out = kron(out, p)
-    return out
 
 
 def curvature(coords, p):

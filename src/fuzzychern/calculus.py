@@ -20,13 +20,14 @@ import numpy as np
 from .linalg import ShapeError, as_matrix, frobenius_norm, kron, max_abs, partial_trace
 
 __all__ = [
+    "N_COMPONENTS",
+    "DegreeError",
     "GradedForm",
     "derive",
     "d0",
     "d1",
     "wedge",
     "module_trace",
-    "zero_form",
     "scalar_form",
 ]
 
@@ -99,14 +100,6 @@ class GradedForm:
             or self.algebra_dim != other.algebra_dim
         ):
             raise ShapeError("incompatible forms")
-
-
-def zero_form(degree, module_rank, algebra_dim):
-    dim = module_rank * algebra_dim
-    comps = tuple(
-        np.zeros((dim, dim), dtype=np.complex128) for _ in range(N_COMPONENTS[degree])
-    )
-    return GradedForm(degree, module_rank, algebra_dim, comps)
 
 
 def scalar_form(coeff, module_rank=1, algebra_dim=None):

@@ -19,6 +19,9 @@ from .linalg import ShapeError, hs_inner
 from .su2 import SpinLabel, fuzzy_coordinates
 
 __all__ = [
+    "DENSE_MAX_N",
+    "REPORT_BYTES_PER_N",
+    "DegenerateVolumeError",
     "ChernReport",
     "volume_form",
     "extract_coefficient",

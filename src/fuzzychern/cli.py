@@ -11,12 +11,12 @@ import sys
 
 import numpy as np
 
-from .bundles import MAX_TENSOR_POWER
 from .calculus import d0, d1, derive, scalar_form, wedge
 from .chern import DENSE_MAX_N, REPORT_BYTES_PER_N, gamma_formula, reports_for, sweep
 from .invariants import BOUNDS, InvariantError
 from .linalg import commutator, frobenius_norm, identity_like, kron, max_abs, normalized_trace
-from .sphere_oracle import CHUNK_BYTES, build_quadrature, chern_number_commutative, volume_check
+from .sphere_oracle import (CHUNK_BYTES, MAX_TENSOR_POWER, build_quadrature,
+                            chern_number_commutative, volume_check)
 from .su2 import SpinLabel, fuzzy_coordinates
 
 # column header -> ChernReport attribute

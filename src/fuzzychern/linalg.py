@@ -9,6 +9,7 @@ the same kind, so the calculus built on them runs unchanged on both.
 import numpy as np
 
 __all__ = [
+    "ShapeError",
     "Banded",
     "as_matrix",
     "identity_like",
@@ -19,7 +20,6 @@ __all__ = [
     "frobenius_norm",
     "max_abs",
     "partial_trace",
-    "is_square",
 ]
 
 
@@ -166,11 +166,6 @@ def identity_like(a, n):
     return np.eye(n, dtype=np.complex128)
 
 
-def is_square(a):
-    shape = np.shape(a)
-    return len(shape) == 2 and shape[0] == shape[1]
-
-
 def kron(a, b):
     """Kronecker product with complex128 output.
 
@@ -197,7 +192,7 @@ def commutator(a, b):
     """[a, b] = ab - ba for square matrices of equal dimension."""
     a = as_matrix(a)
     b = as_matrix(b)
-    if not (is_square(a) and is_square(b) and a.shape == b.shape):
+    if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise ShapeError(
             "commutator needs equal square shapes, got %s and %s" % (a.shape, b.shape)
         )
@@ -207,7 +202,7 @@ def commutator(a, b):
 def normalized_trace(a):
     """(1/N) tr a for a square N x N matrix."""
     a = as_matrix(a)
-    if not is_square(a):
+    if a.shape[0] != a.shape[1]:
         raise ShapeError("normalized_trace needs a square matrix, got %s" % (a.shape,))
     if isinstance(a, Banded):
         return complex(np.sum(a.data[a.offsets == 0])) / a.shape[0]

@@ -14,17 +14,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundles import MAX_TENSOR_POWER
 from .invariants import require
 
 __all__ = [
+    "MAX_TENSOR_POWER",
+    "CHUNK_BYTES",
     "QuadratureGrid",
     "build_quadrature",
-    "curvature_density",
+    "curvature_densities",
     "chern_number_commutative",
     "volume_check",
 ]
 
+MAX_TENSOR_POWER = 12
 
 # the state vectors of one chunk of nodes peak below this many bytes, at any k
 CHUNK_BYTES = 2**25
@@ -103,11 +105,6 @@ def curvature_densities(k, transpose, theta, phi):
         out[lo:lo + step] = a - a.conj()
         del psi, dt, dp, bra, ket  # before the next chunk is built
     return out
-
-
-def curvature_density(k, transpose, theta, phi):
-    """Pointwise curvature-form coefficient in the (theta, phi) chart."""
-    return complex(curvature_densities(k, transpose, np.array([theta]), np.array([phi]))[0])
 
 
 def chern_number_commutative(k, transpose, grid):

@@ -12,7 +12,8 @@ import numpy as np
 
 from .linalg import Banded
 
-__all__ = ["SpinLabel", "FuzzyCoordinates", "build_irrep", "fuzzy_coordinates"]
+__all__ = ["DegenerateRepresentationError", "SpinLabel", "FuzzyCoordinates", "build_irrep",
+           "fuzzy_coordinates"]
 
 
 class DegenerateRepresentationError(ValueError):

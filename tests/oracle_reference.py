@@ -3,12 +3,69 @@ the state-vector path of ``fuzzychern.sphere_oracle``.
 
 p_k, d_theta p_k and d_phi p_k are built as Kronecker products of the 2x2
 projector (1 + sigma.x)/2 and its analytic chart derivatives, by the same
-product rule, and the curvature density is tr p_k (dt dp - dp dt).
+product rule, and the curvature density is tr p_k (dt dp - dp dt). The
+projector itself is also built pointwise, from a checked point of the unit
+sphere, and ``curvature_density`` reads the state-vector path at one point.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from fuzzychern.bundles import PAULI, PointOnSphere, tensor_power_projector
+from fuzzychern.bundles import PAULI
+from fuzzychern.sphere_oracle import MAX_TENSOR_POWER, curvature_densities
+
+
+class OffSphereError(ValueError):
+    """Point does not lie on the unit sphere."""
+
+
+@dataclass(frozen=True)
+class PointOnSphere:
+    x1: float
+    x2: float
+    x3: float
+
+    def __post_init__(self):
+        r = np.sqrt(self.x1**2 + self.x2**2 + self.x3**2)
+        if abs(r - 1.0) > 1e-10:
+            raise OffSphereError("|x| = %.12g, expected 1" % r)
+
+    @classmethod
+    def from_angles(cls, theta, phi):
+        return cls(
+            np.sin(theta) * np.cos(phi),
+            np.sin(theta) * np.sin(phi),
+            np.cos(theta),
+        )
+
+    def as_array(self):
+        return np.array([self.x1, self.x2, self.x3])
+
+
+def bott_projector(point):
+    """(1 + sigma.x)/2 at a point of the unit sphere."""
+    x = point.as_array()
+    p = np.eye(2, dtype=np.complex128)
+    for a in range(3):
+        p += x[a] * PAULI[a]
+    return p / 2.0
+
+
+def tensor_power_projector(point, k):
+    """k-fold Kronecker power of the rank-one projector at the point."""
+    if not 1 <= k <= MAX_TENSOR_POWER:
+        raise ValueError("k must be in 1..%d, got %d" % (MAX_TENSOR_POWER, k))
+    p = bott_projector(point)
+    out = p
+    for _ in range(k - 1):
+        out = np.kron(out, p)
+    return out
+
+
+def curvature_density(k, transpose, theta, phi):
+    """Pointwise curvature-form coefficient in the (theta, phi) chart."""
+    return complex(curvature_densities(k, transpose, np.array([theta]), np.array([phi]))[0])
 
 
 def power_projector(k, transpose, theta, phi):

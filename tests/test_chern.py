@@ -114,7 +114,7 @@ def test_extract_coefficient_residual_grows_linearly():
 
 
 def test_extract_coefficient_degenerate_volume():
-    from fuzzychern.calculus import zero_form
+    from volume_reference import zero_form
 
     om = volume_form(make_coords(3))
     with pytest.raises(DegenerateVolumeError):

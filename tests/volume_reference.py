@@ -3,12 +3,12 @@ the tests' reference for the closed form of ``fuzzychern.chern.volume_form``.
 
 Each term is a product of the coordinates with their differentials d0(X_b),
 so the construction runs through ``derive`` and ``wedge`` on dense or
-``Banded`` coordinates alike.
+``Banded`` coordinates alike. ``zero_form`` is the dense zero of a degree.
 """
 
 import numpy as np
 
-from fuzzychern.calculus import d0, scalar_form, wedge
+from fuzzychern.calculus import N_COMPONENTS, GradedForm, d0, scalar_form, wedge
 
 # eps_{abc} as (a, b, c, sign) over the nonzero entries
 EPSILON = (
@@ -19,6 +19,14 @@ EPSILON = (
     (3, 2, 1, -1.0),
     (2, 1, 3, -1.0),
 )
+
+
+def zero_form(degree, module_rank, algebra_dim):
+    dim = module_rank * algebra_dim
+    comps = tuple(
+        np.zeros((dim, dim), dtype=np.complex128) for _ in range(N_COMPONENTS[degree])
+    )
+    return GradedForm(degree, module_rank, algebra_dim, comps)
 
 
 def derived_volume_form(coords):
