@@ -9,9 +9,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import d0, module_trace, scalar_form, wedge
+from .calculus import GradedForm, module_trace, scalar_form, wedge
 from .invariants import require
-from .linalg import as_matrix, identity_like, kron, max_abs, normalized_trace
+from .linalg import commutator, identity_like, kron, max_abs, normalized_trace
 
 __all__ = [
     "PAULI",
@@ -82,24 +82,16 @@ def build_fuzzy_projector(coords, sign):
     return proj
 
 
-def curvature(coords, p):
-    """Grassmann-connection curvature p (dp)(dp) as a matrix-valued two-form.
-
-    ``p`` is a ``FuzzyProjector``, whose invariants were checked when it was
-    built, or a raw matrix, which is checked for idempotency here.
-    """
-    if isinstance(p, FuzzyProjector):
-        p = p.realization
-    else:
-        p = as_matrix(p)
-        if max_abs(p @ p - p) > 1e-10:
-            raise ValueError("curvature needs an idempotent input")
-    dp = d0(coords, p)
-    n = dp.module_rank
-    return wedge(scalar_form(p, module_rank=n, algebra_dim=coords.N), wedge(dp, dp))
+def curvature(coords, proj):
+    """p (dp)(dp) of a ``FuzzyProjector``. p commutes with L_b = S_b (x) 1 + 1 (x) J_b,
+    S_b = sigma_b / 2, so e_b(p) = (1/kappa) [1 (x) X_b, p] = [p, S_b (x) 1]: no
+    division by kappa ~ 2/N, which would amplify roundoff by N."""
+    p = proj.realization
+    one = identity_like(p, coords.N)
+    dp = GradedForm(1, 2, coords.N, tuple(commutator(p, kron(s / 2, one)) for s in PAULI))
+    return wedge(scalar_form(p, module_rank=2, algebra_dim=coords.N), wedge(dp, dp))
 
 
-def chern_character_form(coords, p):
-    """Degree-2 Chern character component: module trace of p (dp)(dp), for a
-    ``FuzzyProjector`` or a raw matrix as in ``curvature``."""
-    return module_trace(curvature(coords, p))
+def chern_character_form(coords, proj):
+    """Degree-2 Chern character component: module trace of ``curvature``."""
+    return module_trace(curvature(coords, proj))

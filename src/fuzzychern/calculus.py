@@ -1,11 +1,12 @@
 """Derivation-based graded differential calculus over the fuzzy algebra.
 
 Forms of degree 0..3 carry coefficients in the basis one-forms theta^a dual
-to the derivations e_a = (1/kappa) ad X_a; the operators take the
-``FuzzyCoordinates`` X_a as ``coords``. Coefficients are (n*N) x (n*N)
-matrices where n is the module rank (1 for scalar forms, 2 for
-projector-valued forms); products keep the noncommutative order. The
-coefficients are dense or ``Banded``, as the coordinates are.
+to the derivations e_a = (1/kappa) ad X_a, which act on N x N elements; the
+operators take the ``FuzzyCoordinates`` X_a as ``coords``. Coefficients are
+(n*N) x (n*N) matrices where n is the module rank (1 for scalar forms, 2 for
+projector-valued forms, differentiated in ``bundles.curvature``); products
+keep the noncommutative order. The coefficients are dense or ``Banded``, as
+the coordinates are.
 
 Component ordering is fixed once and for all:
 degree 1 -> theta^1, theta^2, theta^3;
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ShapeError, as_matrix, frobenius_norm, kron, max_abs, partial_trace
+from .linalg import ShapeError, as_matrix, commutator, frobenius_norm, max_abs, partial_trace
 
 __all__ = [
     "N_COMPONENTS",
@@ -111,21 +112,13 @@ def scalar_form(coeff, module_rank=1, algebra_dim=None):
 
 
 def derive(coords, axis, f):
-    """e_a(f) = (1/kappa) [I_n (x) X_a, f] on an element f of the rank-n module."""
-    f = as_matrix(f)
-    if f.shape[0] != f.shape[1] or f.shape[0] % coords.N != 0:
-        raise ShapeError("derive needs a square n*N matrix, got %s" % (f.shape,))
-    n = f.shape[0] // coords.N
-    x = coords.axis(axis)
-    if n != 1:
-        x = kron(np.eye(n), x)
-    return (x @ f - f @ x) / coords.kappa
+    """e_a(f) = (1/kappa) [X_a, f] on an N x N element f."""
+    return commutator(coords.axis(axis), f) / coords.kappa
 
 
 def d0(coords, f):
     """Exterior derivative of a degree-0 element: df = e_a(f) theta^a."""
-    comps = tuple(derive(coords, a, f) for a in (1, 2, 3))
-    return GradedForm(1, comps[0].shape[0] // coords.N, coords.N, comps)
+    return GradedForm(1, 1, coords.N, tuple(derive(coords, a, f) for a in (1, 2, 3)))
 
 
 def d1(coords, omega):

@@ -11,8 +11,10 @@ import sys
 
 import numpy as np
 
+from .bundles import PAULI, build_fuzzy_projector
 from .calculus import d0, d1, derive, scalar_form, wedge
-from .chern import DENSE_MAX_N, REPORT_BYTES_PER_N, gamma_formula, reports_for, sweep
+from .chern import (DENSE_MAX_N, REPORT_BYTES_PER_N, chern_number, gamma_formula, reports_for,
+                    sweep, volume_form)
 from .invariants import BOUNDS, InvariantError
 from .linalg import commutator, frobenius_norm, identity_like, kron, max_abs, normalized_trace
 from .sphere_oracle import (CHUNK_BYTES, MAX_TENSOR_POWER, build_quadrature,
@@ -191,14 +193,25 @@ def _verify_suites(max_n):
                 worst = max(worst, np.max(np.abs(br)))
     yield within("diff-calculus", worst)
 
-    # projectors (idempotency / self-adjointness / rank component) and
-    # fuzzy charges, from one report per (N, sign) on the ladder
-    reports = sweep(_verify_ladder(max_n))
-    worst = 0.0
-    for r in reports:
-        sign = 1 if r.sign == "plus" else -1
-        worst = max(worst, r.projector_residual, abs(r.ch0 - (1.0 + sign / r.N)))
+    # projectors (idempotency / self-adjointness / rank component) and fuzzy
+    # charges, one report per (N, sign) on the ladder as reports_for builds
+    # it; at the N su2-repr checks, N <= 8 and max_n, also the covariance
+    # max_b |[p, L_b]| / (N/2) with L_b = S_b (x) 1 + 1 (x) J_b
+    reports, worst, covariance = [], 0.0, 0.0
+    for N in _verify_ladder(max_n):
+        coords = fuzzy_coordinates(SpinLabel.from_dimension(N), banded=N > DENSE_MAX_N)
+        omega, one = volume_form(coords), identity_like(coords.X3, N)
+        for sign in (1, -1):
+            p = build_fuzzy_projector(coords, sign)
+            r = chern_number(p, coords, omega)
+            reports.append(r)
+            worst = max(worst, r.projector_residual, abs(r.ch0 - (1.0 + sign / N)))
+            for s, x in zip(PAULI, (coords.X1, coords.X2, coords.X3)):
+                if N <= 8 or N == max_n:
+                    l_b = kron(s / 2, one) + kron(np.eye(2), x / coords.kappa)
+                    covariance = max(covariance, max_abs(commutator(p.realization, l_b)) / (N / 2))
     yield within("bundles", worst, "projector")
+    yield within("covariance", covariance)
 
     worst = max(max(r.abs_error, r.proportionality_residual) for r in reports)
     yield within("chern-integration", worst)

@@ -20,6 +20,7 @@ BOUNDS = {
     "charge-imag": 1e-10,  # |imag c1| of a fuzzy charge
     "quadrature-imag": 1e-9,  # |imag c1| of the oracle's quadrature
     "su2-repr": 1e-12,
+    "covariance": 1e-14,  # max_b |[p, L_b]| / (N/2), L_b = S_b (x) 1 + 1 (x) J_b
     "diff-calculus": 1e-11,
     "chern-integration": 1e-9,
     "s2-oracle": 1e-8,

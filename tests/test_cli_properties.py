@@ -13,9 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 from fuzzychern.chern import gamma_formula
 from fuzzychern.cli import main
+from fuzzychern.invariants import BOUNDS
 
 SIGNS = {"plus": (1,), "minus": (-1,), "both": (1, -1)}
 MALFORMED_GRIDS = ("8x", "8x8x8", "x", "0x4", "8x-8")
+VERIFY_SUITES = ("linalg-core", "su2-repr", "diff-calculus", "bundles", "covariance",
+                 "chern-integration", "s2-oracle", "commutative-limit")
 
 
 def run(*argv):
@@ -66,3 +69,37 @@ def test_commutative_answers_or_refuses(k, grid, transpose):
     row = json.loads(out)
     # the density over sin(theta) is constant, so every accepted grid is exact
     assert abs(row["c1"] - (-k if transpose else k)) <= 1e-8
+
+
+# a width below 0 makes the range empty (-1) or reversed
+@settings(max_examples=25, deadline=None)
+@given(frm=st.integers(-3, 48), width=st.integers(-3, 4))
+def test_sweep_answers_or_refuses(frm, width):
+    to = frm + width
+    code, out, err = run("sweep", "--from", str(frm), "--to", str(to), "--format", "json")
+    if to < frm or frm < 2:
+        assert_refused(code, out, err)
+        return
+    assert code == 0 and err == ""
+    rows = json.loads(out)
+    assert [(r["N"], r["sign"]) for r in rows] == [
+        (N, s) for N in range(frm, to + 1) for s in ("plus", "minus")]
+    for r in rows:
+        assert abs(r["c1_computed"] - gamma_formula(r["N"], r["sign"])) <= 1e-9
+
+
+@settings(max_examples=8, deadline=None)
+@given(max_n=st.integers(-1, 64))
+def test_verify_answers_or_refuses(max_n):
+    code, out, err = run("verify", "--max-N", str(max_n))
+    if max_n < 2:
+        assert_refused(code, out, err)
+        return
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[-1] == "all suites passed"
+    assert [l.split()[:2] for l in lines[:-1]] == [[name, "PASS"] for name in VERIFY_SUITES]
+    for line in lines[:-1]:
+        if "max residual" in line:  # the bundles suite reads the projector bound
+            name, residual = line.split()[0], float(line.rstrip(")").split()[-1])
+            assert residual <= BOUNDS["projector" if name == "bundles" else name]
