@@ -354,7 +354,11 @@ def test_verify_above_32_builds_a_doubling_ladder(capsys, count_calls):
 # k = 2 charge on 64x128 became exactly 2. The sweep, fuzzy and verify files
 # were recaptured when omega took its closed form instead of the product
 # eps_abc X_a dX_b ^ dX_c: c1 moved by at most one unit in its 15th printed
-# digit, and the commutative files stayed byte-identical
+# digit, and the commutative files stayed byte-identical. They were
+# recaptured again when dp became [p, S_b (x) 1] instead of d0(p): c1 moved
+# by at most one unit in its 15th printed digit, the residual column fell
+# to at most 1.9e-15 (8.7e-14 at N = 257 before), verify_8 gained its
+# covariance line, and the commutative files stayed byte-identical
 GOLDEN_CASES = [
     (("sweep", "--from", "2", "--to", "12"), "sweep_2_12.table"),
     (("sweep", "--from", "2", "--to", "12", "--format", "csv"), "sweep_2_12.csv"),
