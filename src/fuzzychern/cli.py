@@ -194,22 +194,22 @@ def _verify_suites(max_n):
     yield within("diff-calculus", worst)
 
     # projectors (idempotency / self-adjointness / rank component) and fuzzy
-    # charges, one report per (N, sign) on the ladder as reports_for builds
-    # it; at the N su2-repr checks, N <= 8 and max_n, also the covariance
-    # max_b |[p, L_b]| / (N/2) with L_b = S_b (x) 1 + 1 (x) J_b
+    # charges on the ladder, built as reports_for builds them so that the
+    # covariance max_b |[p, L_b]| / (N/2) reads the same projectors (N <= 8, max_n)
     reports, worst, covariance = [], 0.0, 0.0
     for N in _verify_ladder(max_n):
         coords = fuzzy_coordinates(SpinLabel.from_dimension(N), banded=N > DENSE_MAX_N)
-        omega, one = volume_form(coords), identity_like(coords.X3, N)
+        omega = volume_form(coords)
         for sign in (1, -1):
             p = build_fuzzy_projector(coords, sign)
             r = chern_number(p, coords, omega)
             reports.append(r)
             worst = max(worst, r.projector_residual, abs(r.ch0 - (1.0 + sign / N)))
-            for s, x in zip(PAULI, (coords.X1, coords.X2, coords.X3)):
-                if N <= 8 or N == max_n:
-                    l_b = kron(s / 2, one) + kron(np.eye(2), x / coords.kappa)
+            if N <= 8 or N == max_n:
+                for s, x in zip(PAULI, (coords.X1, coords.X2, coords.X3)):
+                    l_b = kron(s / 2, identity_like(x, N)) + kron(np.eye(2), x / coords.kappa)
                     covariance = max(covariance, max_abs(commutator(p.realization, l_b)) / (N / 2))
+    del coords, omega, p, l_b  # so the oracle's peak memory below does not hold them
     yield within("bundles", worst, "projector")
     yield within("covariance", covariance)
 

@@ -168,6 +168,7 @@ def test_verify_passes(capsys):
     ("su2-repr", "su2-repr"),
     ("diff-calculus", "diff-calculus"),
     ("projector", "bundles"),
+    ("covariance", "covariance"),
     ("chern-integration", "chern-integration"),
     ("s2-oracle", "s2-oracle"),
 ])
@@ -199,14 +200,6 @@ def test_verify_checks_each_computed_c1_against_the_commutative_limit(capsys, mo
     failed = [l.split()[0] for l in out.splitlines() if " FAIL " in l]
     assert failed == ["commutative-limit"]
     assert out.endswith("1 suite(s) failed\n")
-
-
-def test_verify_checks_the_covariance_against_its_own_bound(capsys, monkeypatch):
-    # no residual is below a negative bound; no other suite reads this one
-    monkeypatch.setitem(invariants.BOUNDS, "covariance", -1.0)
-    code, out, _ = run(capsys, "verify", "--max-N", "8")
-    assert code == 1
-    assert [l.split()[0] for l in out.splitlines() if " FAIL " in l] == ["covariance"]
 
 
 @pytest.mark.parametrize("argv", [
