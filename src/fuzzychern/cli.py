@@ -11,10 +11,9 @@ import sys
 
 import numpy as np
 
-from .bundles import PAULI, build_fuzzy_projector
+from .bundles import PAULI, projector_coefficients
 from .calculus import d0, d1, derive, scalar_form, wedge
-from .chern import (DENSE_MAX_N, REPORT_BYTES_PER_N, chern_number, gamma_formula, reports_for,
-                    sweep, volume_form)
+from .chern import DENSE_MAX_N, REPORT_BYTES_PER_N, gamma_formula, reports_for, sweep
 from .invariants import BOUNDS, InvariantError
 from .linalg import commutator, frobenius_norm, identity_like, kron, max_abs, normalized_trace
 from .sphere_oracle import (CHUNK_BYTES, MAX_TENSOR_POWER, build_quadrature,
@@ -159,8 +158,10 @@ def _verify_suites(max_n):
         <= BOUNDS["linalg-kron"] * frobenius_norm(kron(kron(a, b), c))
     yield "linalg-core", ok, "trace cyclicity, kron associativity"
 
-    # su2 / coordinates
-    worst = 0.0
+    # su2 / coordinates, and the covariance max_b |[p, L_b]| / (N/2) of the
+    # projector p = alpha + beta sigma.X on them, L_b = S_b (x) 1 + 1 (x) X_b / kappa:
+    # [p, L_b] = beta [sigma.X, L_b], and |beta| is the same on both sign branches
+    worst, covariance = 0.0, 0.0
     for twice_j in list(range(1, 8)) + [max_n - 1]:
         # stored as reports_for stores them, so max_n costs O(max_n) memory
         coords = fuzzy_coordinates(SpinLabel(twice_j), banded=twice_j + 1 > DENSE_MAX_N)
@@ -169,10 +170,16 @@ def _verify_suites(max_n):
         pairs = {(0, 1): (2, 1), (1, 2): (0, 1), (0, 2): (1, -1)}
         for (p, q), (r, s) in pairs.items():
             worst = max(worst, max_abs(commutator(xs[p], xs[q]) - 1j * kap * s * xs[r]))
-        worst = max(worst, max_abs(
-            xs[0] @ xs[0] + xs[1] @ xs[1] + xs[2] @ xs[2] - identity_like(xs[0], coords.N)))
+        one = identity_like(xs[0], coords.N)
+        worst = max(worst, max_abs(xs[0] @ xs[0] + xs[1] @ xs[1] + xs[2] @ xs[2] - one))
         for x in xs:
             worst = max(worst, abs(normalized_trace(x)))
+        sigma_x = kron(PAULI[0], xs[0]) + kron(PAULI[1], xs[1]) + kron(PAULI[2], xs[2])
+        beta = abs(projector_coefficients(kap, 1)[1])
+        for s, x in zip(PAULI, xs):
+            l_b = kron(s / 2, one) + kron(np.eye(2), x / kap)
+            covariance = max(covariance,
+                             beta * max_abs(commutator(sigma_x, l_b)) / (coords.N / 2))
     yield within("su2-repr", worst)
 
     # calculus
@@ -193,23 +200,13 @@ def _verify_suites(max_n):
                 worst = max(worst, np.max(np.abs(br)))
     yield within("diff-calculus", worst)
 
-    # projectors (idempotency / self-adjointness / rank component) and fuzzy
-    # charges on the ladder, built as reports_for builds them so that the
-    # covariance max_b |[p, L_b]| / (N/2) reads the same projectors (N <= 8, max_n)
-    reports, worst, covariance = [], 0.0, 0.0
-    for N in _verify_ladder(max_n):
-        coords = fuzzy_coordinates(SpinLabel.from_dimension(N), banded=N > DENSE_MAX_N)
-        omega = volume_form(coords)
-        for sign in (1, -1):
-            p = build_fuzzy_projector(coords, sign)
-            r = chern_number(p, coords, omega)
-            reports.append(r)
-            worst = max(worst, r.projector_residual, abs(r.ch0 - (1.0 + sign / N)))
-            if N <= 8 or N == max_n:
-                for s, x in zip(PAULI, (coords.X1, coords.X2, coords.X3)):
-                    l_b = kron(s / 2, identity_like(x, N)) + kron(np.eye(2), x / coords.kappa)
-                    covariance = max(covariance, max_abs(commutator(p.realization, l_b)) / (N / 2))
-    del coords, omega, p, l_b  # so the oracle's peak memory below does not hold them
+    # projectors (idempotency / self-adjointness / rank component) and
+    # fuzzy charges, from one report per (N, sign) on the ladder
+    reports = sweep(_verify_ladder(max_n))
+    worst = 0.0
+    for r in reports:
+        sign = 1 if r.sign == "plus" else -1
+        worst = max(worst, r.projector_residual, abs(r.ch0 - (1.0 + sign / r.N)))
     yield within("bundles", worst, "projector")
     yield within("covariance", covariance)
 

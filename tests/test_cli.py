@@ -185,17 +185,13 @@ def test_verify_fails_the_suite_whose_bound_no_residual_meets(capsys, monkeypatc
 
 def test_verify_checks_each_computed_c1_against_the_commutative_limit(capsys, monkeypatch):
     # c1 = -1 + 2.5/N at N = 8 is off the bound |c1 + 1| <= 2/N; no other suite reads c1
-    reports = []
+    def off_limit(n_values):
+        reports = chern.sweep(n_values)
+        assert (reports[-1].N, reports[-1].sign) == (8, "minus")
+        return reports[:-1] + [dataclasses.replace(reports[-1], c1_computed=-1.0 + 2.5 / 8)]
 
-    def off_limit(projector, coords, omega):
-        reports.append(chern.chern_number(projector, coords, omega))
-        if (reports[-1].N, reports[-1].sign) != (8, "minus"):
-            return reports[-1]
-        return dataclasses.replace(reports[-1], c1_computed=-1.0 + 2.5 / 8)
-
-    monkeypatch.setattr(cli, "chern_number", off_limit)
+    monkeypatch.setattr(cli, "sweep", off_limit)
     code, out, _ = run(capsys, "verify", "--max-N", "8")
-    assert (reports[-1].N, reports[-1].sign) == (8, "minus")
     assert code == 1
     failed = [l.split()[0] for l in out.splitlines() if " FAIL " in l]
     assert failed == ["commutative-limit"]
