@@ -1,12 +1,12 @@
 """Derivation-based graded differential calculus over the fuzzy algebra.
 
 Forms of degree 0..3 carry coefficients in the basis one-forms theta^a dual
-to the derivations e_a = (1/kappa) ad X_a, which act on N x N elements; the
-operators take the ``FuzzyCoordinates`` X_a as ``coords``. Coefficients are
-(n*N) x (n*N) matrices where n is the module rank (1 for scalar forms, 2 for
-projector-valued forms, differentiated in ``bundles.curvature``); products
-keep the noncommutative order. The coefficients are dense or ``Banded``, as
-the coordinates are.
+to the derivations e_a = (1/kappa) ad X_a; the operators take the
+``FuzzyCoordinates`` X_a as ``coords``. ``derive``, ``d0`` and ``d1`` act on
+N x N elements only. Coefficients are (n*N) x (n*N) matrices where n is the
+module rank (1 for scalar forms, 2 for projector-valued ones); products keep
+the noncommutative order. The coefficients are dense or ``Banded``, as the
+coordinates are.
 
 Component ordering is fixed once and for all:
 degree 1 -> theta^1, theta^2, theta^3;
@@ -137,7 +137,7 @@ def d1(coords, omega):
     c12 = e(1, w2) - e(2, w1) - 1j * w3
     c13 = e(1, w3) - e(3, w1) + 1j * w2
     c23 = e(2, w3) - e(3, w2) - 1j * w1
-    return GradedForm(2, omega.module_rank, omega.algebra_dim, (c12, c13, c23))
+    return GradedForm(2, 1, coords.N, (c12, c13, c23))
 
 
 def wedge(alpha, beta):
