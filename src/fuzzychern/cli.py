@@ -16,7 +16,7 @@ from .calculus import d0, d1, derive, scalar_form, wedge
 from .chern import DENSE_MAX_N, REPORT_BYTES_PER_N, gamma_formula, reports_for, sweep
 from .invariants import BOUNDS, InvariantError
 from .linalg import commutator, frobenius_norm, identity_like, kron, max_abs, normalized_trace
-from .sphere_oracle import (CHUNK_BYTES, MAX_TENSOR_POWER, build_quadrature,
+from .sphere_oracle import (MAX_TENSOR_POWER, NODE_BYTES, build_quadrature,
                             chern_number_commutative, volume_check)
 from .su2 import SpinLabel, fuzzy_coordinates
 
@@ -100,10 +100,10 @@ def cmd_commutative(args):
         n_polar, n_azimuthal = (int(v) for v in args.grid.split("x"))
     except ValueError:
         raise UsageError("--grid must look like 64x128")
-    # one chunk of state vectors, about 84 B of grid and density arrays per
-    # node, and the n_polar^2 companion matrix leggauss eigen-solves
+    # the oracle's arrays per node, and the n_polar^2 companion matrix leggauss
+    # eigen-solves
     _check_memory("--k %d --grid %s" % (args.k, args.grid),
-                  CHUNK_BYTES + 96 * n_polar * n_azimuthal + 16 * n_polar**2)
+                  NODE_BYTES * n_polar * n_azimuthal + 16 * n_polar**2)
     try:
         grid = build_quadrature(n_polar, n_azimuthal)
     except ValueError as exc:

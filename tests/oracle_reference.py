@@ -1,11 +1,15 @@
-"""The classical oracle on 4^k projector matrices: the tests' reference for
-the state-vector path of ``fuzzychern.sphere_oracle``.
+"""The classical oracle on 2^k state vectors and on 4^k projector matrices:
+the tests' references for the inner-product path of
+``fuzzychern.sphere_oracle``.
 
-p_k, d_theta p_k and d_phi p_k are built as Kronecker products of the 2x2
-projector (1 + sigma.x)/2 and its analytic chart derivatives, by the same
-product rule, and the curvature density is tr p_k (dt dp - dp dt). The
-projector itself is also built pointwise, from a checked point of the unit
-sphere, and ``curvature_density`` reads the state-vector path at one point.
+psi_k, d_theta psi_k and d_phi psi_k are built as Kronecker products of the
+state vector psi = (cos theta/2, e^{i phi} sin theta/2) and its analytic chart
+derivatives, and p_k, d_theta p_k and d_phi p_k as Kronecker products of the
+2x2 projector (1 + sigma.x)/2 and its derivatives, both by the product rule
+that ``sphere_oracle`` runs on inner products. The matrix curvature density is
+tr p_k (dt dp - dp dt). The projector itself is also built pointwise, from a
+checked point of the unit sphere, and ``curvature_density`` reads the
+inner-product path at one point.
 """
 
 from dataclasses import dataclass
@@ -71,6 +75,36 @@ def curvature_density(k, transpose, theta, phi):
 def power_projector(k, transpose, theta, phi):
     pk = tensor_power_projector(PointOnSphere.from_angles(theta, phi), k)
     return pk.T if transpose else pk
+
+
+def state_vector_stacks(k, transpose, theta, phi):
+    """Stacked psi_k, d_theta psi_k, d_phi psi_k, each (m, 2**k); p_k = psi_k psi_k^dagger."""
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    e = np.exp(1j * phi)
+    psi = np.stack([c + 0j, e * s], axis=-1)
+    pt = np.stack([-s / 2.0 + 0j, e * c / 2.0], axis=-1)
+    pp = np.stack([np.zeros_like(psi[:, 0]), 1j * e * s], axis=-1)
+    if transpose:  # p^T = conj(p) projects onto conj(psi)
+        psi, pt, pp = psi.conj(), pt.conj(), pp.conj()
+
+    def kron(a, b):
+        return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
+
+    big, d_theta, d_phi = psi, pt, pp
+    for _ in range(k - 1):
+        d_theta = kron(d_theta, psi) + kron(big, pt)
+        d_phi = kron(d_phi, psi) + kron(big, pp)
+        big = kron(big, psi)
+    return big, d_theta, d_phi
+
+
+def state_vector_densities(k, transpose, theta, phi):
+    """F_tp at each node from the state-vector stacks."""
+    psi, dt, dp = state_vector_stacks(k, transpose, theta, phi)
+    # F_tp = a - conj(a), a = <dt psi|dp psi> - <dt psi|psi><psi|dp psi>
+    bra, ket = dt.conj()[:, None], dp[..., None]  # (m, 1, 2^k) rows, (m, 2^k, 1) columns
+    a = (bra @ ket - (bra @ psi[..., None]) * (psi.conj()[:, None] @ ket))[:, 0, 0]
+    return a - a.conj()
 
 
 def batched_kron(a, b):

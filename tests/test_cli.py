@@ -118,9 +118,10 @@ def test_commutative_json_keeps_15_significant_digits(capsys, argv):
 
 
 def test_commutative_runs_the_highest_tensor_power(capsys):
-    code, out, _ = run(capsys, "commutative", "--k", "12", "--grid", "16x32", "--format", "json")
-    assert code == 0
-    assert abs(json.loads(out)["c1"] - 12.0) <= 1e-8
+    for argv, c1 in ((("--grid", "16x32"), 12.0), ((), 12.0), (("--transpose",), -12.0)):
+        code, out, _ = run(capsys, "commutative", "--k", "12", "--format", "json", *argv)
+        assert code == 0
+        assert abs(json.loads(out)["c1"] - c1) <= 1e-8
 
 
 # functions numpy added in 2.0, which pyproject.toml's numpy>=1.24 does not have
@@ -233,8 +234,8 @@ def test_memory_estimate_refuses_before_allocating(capsys, monkeypatch, argv):
 
 
 def test_oracle_memory_estimate_refuses_before_allocating(capsys, monkeypatch):
-    # the state vectors are chunked, so only the per-node arrays can outgrow
-    # memory: about 84 B on each of 4e11 nodes is over 30 TB
+    # the oracle's memory is a fixed number of bytes per node: about 312 B on
+    # each of 4e11 nodes is over 100 TB
     def never(*args, **kwargs):
         raise AssertionError("the oracle was started")
 
@@ -260,7 +261,7 @@ def test_verify_memory_estimate_refuses_before_any_suite(capsys, monkeypatch):
 
 def test_oracle_quadrature_memory_estimate_refuses_before_allocating(capsys, monkeypatch):
     # leggauss eigen-solves an n_polar^2 companion matrix: 160 GB at n_polar = 1e5,
-    # while the node stacks of this grid take 128 MB
+    # while the oracle's node arrays of this grid take 125 MB
     def never(*args, **kwargs):
         raise AssertionError("the quadrature was built")
 

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from oracle_reference import (
     matrix_projectors_and_derivatives,
     outer,
     power_projector,
+    state_vector_densities,
+    state_vector_stacks,
 )
 
 rng = np.random.default_rng(4242)
@@ -126,7 +129,7 @@ def test_chart_derivatives_match_finite_differences():
     theta, phi = np.array([0.3, 1.2, 2.5]), np.array([0.1, 2.0, 4.4])
     for k in (1, 2, 3, 4):
         for transpose in (False, True):
-            psi, dt, dp = sphere_oracle._projectors_and_derivatives(k, transpose, theta, phi)
+            psi, dt, dp = state_vector_stacks(k, transpose, theta, phi)
             p = outer(psi, psi)
             d_theta = outer(dt, psi) + outer(psi, dt)
             d_phi = outer(dp, psi) + outer(psi, dp)
@@ -141,29 +144,72 @@ def test_chart_derivatives_match_finite_differences():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 12])
 def test_product_rule_returns_three_state_vector_stacks(k):
+    # the reference that the inner-product path is checked against
     theta, phi = random_angles(5, np.random.default_rng(k))
-    stacks = sphere_oracle._projectors_and_derivatives(k, False, theta, phi)
+    stacks = state_vector_stacks(k, False, theta, phi)
     assert [s.shape for s in stacks] == [(5, 2**k)] * 3
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 12])
+def test_product_rule_returns_four_gram_entries(k):
+    theta, phi = random_angles(5, np.random.default_rng(k))
+    entries = sphere_oracle._projectors_and_derivatives(k, False, theta, phi)
+    assert [e.shape for e in entries] == [(5,)] * 4
+    # ss = <psi_k|psi_k>, which the density formula takes to be 1
+    assert np.max(np.abs(entries[0] - 1.0)) <= 1e-14
 
 
 @pytest.mark.parametrize("transpose", [False, True])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_state_vectors_match_the_matrix_reference(k, transpose):
     theta, phi = random_angles(40, np.random.default_rng(10 * k + transpose))
-    psi, _, _ = sphere_oracle._projectors_and_derivatives(k, transpose, theta, phi)
+    psi, _, _ = state_vector_stacks(k, transpose, theta, phi)
     p, _, _ = matrix_projectors_and_derivatives(k, transpose, theta, phi)
     assert np.max(np.abs(outer(psi, psi) - p)) <= 1e-14
     dens = sphere_oracle.curvature_densities(k, transpose, theta, phi)
     assert np.max(np.abs(dens - matrix_curvature_densities(k, transpose, theta, phi))) <= 1e-13
 
 
-def test_chunks_do_not_change_the_densities(monkeypatch):
+@pytest.mark.parametrize("transpose", [False, True])
+def test_gram_densities_match_the_state_vectors(transpose):
+    theta, phi = random_angles(40, np.random.default_rng(7 + transpose))
+    for k in range(1, 13):
+        dens = sphere_oracle.curvature_densities(k, transpose, theta, phi)
+        assert np.max(np.abs(dens - state_vector_densities(k, transpose, theta, phi))) <= 1e-13
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_gram_entries_match_the_state_vectors(transpose):
+    # <d_theta psi|psi> = 0 in this gauge, so the densities alone cannot see the
+    # d_theta and d_phi terms of tp trade places; the entries themselves can
+    theta, phi = random_angles(40, np.random.default_rng(9 + transpose))
+    for k in range(1, 13):
+        psi, dt, dp = state_vector_stacks(k, transpose, theta, phi)
+        pairs = ((psi, psi), (dt, psi), (psi, dp), (dt, dp))
+        expected = [np.sum(a.conj() * b, axis=-1) for a, b in pairs]
+        entries = sphere_oracle._projectors_and_derivatives(k, transpose, theta, phi)
+        for got, want in zip(entries, expected):
+            assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_densities_of_a_slice_are_that_slice_of_the_densities():
     g = build_quadrature(16, 32)
     whole = sphere_oracle.curvature_densities(5, True, g.thetas, g.phis)
-    # 3 nodes a chunk, the last one short
-    monkeypatch.setattr(sphere_oracle, "CHUNK_BYTES", 3 * 6 * 16 * 2**5)
-    chunked = sphere_oracle.curvature_densities(5, True, g.thetas, g.phis)
-    assert np.array_equal(chunked, whole)
+    for part in (slice(0, 1), slice(3, 10), slice(None, None, 7), slice(500, None)):
+        sliced = sphere_oracle.curvature_densities(5, True, g.thetas[part], g.phis[part])
+        assert np.array_equal(sliced, whole[part])
+
+
+def test_densities_take_constant_memory_per_node():
+    # a 2^k-entry array per node would be 64 KB at k = 12
+    theta, phi = random_angles(4096, np.random.default_rng(12))
+    tracemalloc.start()
+    try:
+        sphere_oracle.curvature_densities(12, False, theta, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(theta) < 400
 
 
 @pytest.mark.parametrize("n_polar, n_azimuthal, k",
