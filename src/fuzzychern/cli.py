@@ -50,7 +50,7 @@ def render_reports(reports, fmt):
     lines = ["  ".join(c.ljust(widths[c]) for c in REPORT_COLUMNS)]
     for row in rows:
         lines.append("  ".join(_fmt(row[c]).ljust(widths[c]) for c in REPORT_COLUMNS))
-    return "\n".join(lines) + "\n"
+    return "\n".join(line.rstrip() for line in lines) + "\n"
 
 
 def _emit(text, out_path):

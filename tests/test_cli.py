@@ -42,6 +42,14 @@ def test_fuzzy_both_signs_table(capsys):
     assert "1.39675" in out and "-0.55870" in out
 
 
+def test_table_lines_end_without_spaces(capsys):
+    # the last column is padded only up to the header or its widest cell
+    for argv in (("fuzzy", "--N", "3"), ("sweep", "--from", "2", "--to", "12")):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert all(line == line.rstrip() for line in out.splitlines())
+
+
 def test_fuzzy_invalid_n(capsys):
     code, _, err = run(capsys, "fuzzy", "--N", "1")
     assert code == 2
@@ -348,7 +356,10 @@ def test_verify_above_32_builds_a_doubling_ladder(capsys, count_calls):
 # recaptured again when dp became [p, S_b (x) 1] instead of d0(p): c1 moved
 # by at most one unit in its 15th printed digit, the residual column fell
 # to at most 1.9e-15 (8.7e-14 at N = 257 before), verify_8 gained its
-# covariance line, and the commutative files stayed byte-identical
+# covariance line, and the commutative files stayed byte-identical.
+# sweep_2_12.table was recaptured when table lines stopped ending in the
+# last column's padding: five lines lost their trailing spaces, no other
+# byte changed
 GOLDEN_CASES = [
     (("sweep", "--from", "2", "--to", "12"), "sweep_2_12.table"),
     (("sweep", "--from", "2", "--to", "12", "--format", "csv"), "sweep_2_12.csv"),
