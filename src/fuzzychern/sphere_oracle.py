@@ -79,7 +79,7 @@ def _projectors_and_derivatives(k, transpose, theta, phi):
     if transpose:  # p^T = conj(p) projects onto conj(psi)
         psi, pt, pp = psi.conj(), pt.conj(), pp.conj()
 
-    def inner(a, b):  # <a|b> per node, rounded as the tests' state-vector reference rounds it
+    def inner(a, b):  # <a|b> per node; tests/golden pins this matmul's rounding
         return (a.conj()[:, None] @ b[..., None])[:, 0, 0]
 
     gss, gts, gsp, gtp = inner(psi, psi), inner(pt, psi), inner(psi, pp), inner(pt, pp)

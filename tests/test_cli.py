@@ -43,7 +43,7 @@ def test_fuzzy_both_signs_table(capsys):
 
 
 def test_table_lines_end_without_spaces(capsys):
-    # the last column is padded only up to the header or its widest cell
+    # columns are padded to line up the next column, so the last one is not
     for argv in (("fuzzy", "--N", "3"), ("sweep", "--from", "2", "--to", "12")):
         code, out, _ = run(capsys, *argv)
         assert code == 0

@@ -144,7 +144,8 @@ def test_chart_derivatives_match_finite_differences():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 12])
 def test_product_rule_returns_three_state_vector_stacks(k):
-    # the reference that the inner-product path is checked against
+    # the reference the Gram entries are checked against builds the 2^k vectors
+    # themselves, so it shares no factorization with the path it checks
     theta, phi = random_angles(5, np.random.default_rng(k))
     stacks = state_vector_stacks(k, False, theta, phi)
     assert [s.shape for s in stacks] == [(5, 2**k)] * 3
@@ -174,22 +175,15 @@ def test_state_vectors_match_the_matrix_reference(k, transpose):
 def test_gram_densities_match_the_state_vectors(transpose):
     theta, phi = random_angles(40, np.random.default_rng(7 + transpose))
     for k in range(1, 13):
-        dens = sphere_oracle.curvature_densities(k, transpose, theta, phi)
-        assert np.max(np.abs(dens - state_vector_densities(k, transpose, theta, phi))) <= 1e-13
-
-
-@pytest.mark.parametrize("transpose", [False, True])
-def test_gram_entries_match_the_state_vectors(transpose):
-    # <d_theta psi|psi> = 0 in this gauge, so the densities alone cannot see the
-    # d_theta and d_phi terms of tp trade places; the entries themselves can
-    theta, phi = random_angles(40, np.random.default_rng(9 + transpose))
-    for k in range(1, 13):
+        # <d_theta psi|psi> = 0 in this gauge, so the densities alone cannot see
+        # the d_theta and d_phi terms of tp trade places; the entries can
         psi, dt, dp = state_vector_stacks(k, transpose, theta, phi)
         pairs = ((psi, psi), (dt, psi), (psi, dp), (dt, dp))
-        expected = [np.sum(a.conj() * b, axis=-1) for a, b in pairs]
         entries = sphere_oracle._projectors_and_derivatives(k, transpose, theta, phi)
-        for got, want in zip(entries, expected):
-            assert np.max(np.abs(got - want)) <= 1e-13
+        for got, (a, b) in zip(entries, pairs):
+            assert np.max(np.abs(got - np.sum(a.conj() * b, axis=-1))) <= 1e-13
+        dens = sphere_oracle.curvature_densities(k, transpose, theta, phi)
+        assert np.max(np.abs(dens - state_vector_densities(k, transpose, theta, phi))) <= 1e-13
 
 
 def test_densities_of_a_slice_are_that_slice_of_the_densities():
