@@ -8,20 +8,22 @@ module rank (1 for scalar forms, 2 for projector-valued ones); products keep
 the noncommutative order. The coefficients are dense or ``Banded``, as the
 coordinates are.
 
-Component ordering is fixed once and for all:
-degree 1 -> theta^1, theta^2, theta^3;
-degree 2 -> theta^1^theta^2, theta^1^theta^3, theta^2^theta^3;
-degree 3 -> theta^1^theta^2^theta^3.
+``BASIS`` holds the component order: the theta indices of each component,
+lexicographic in each degree, so degree 2 is theta^1^theta^2,
+theta^1^theta^3, theta^2^theta^3. ``EPS_ROWS`` pairs each 2-form component
+with eps_abc; ``wedge``, ``d1`` and the volume form read both.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .linalg import ShapeError, as_matrix, commutator, frobenius_norm, max_abs, partial_trace
 
 __all__ = [
+    "BASIS",
     "N_COMPONENTS",
+    "EPS_ROWS",
     "DegreeError",
     "GradedForm",
     "derive",
@@ -32,7 +34,28 @@ __all__ = [
     "scalar_form",
 ]
 
-N_COMPONENTS = {0: 1, 1: 3, 2: 3, 3: 1}
+BASIS = {0: ((),), 1: ((1,), (2,), (3,)), 2: ((1, 2), (1, 3), (2, 3)), 3: ((1, 2, 3),)}
+N_COMPONENTS = {p: len(b) for p, b in BASIS.items()}
+
+
+def _parity(indices):
+    """+1 or -1: the sign of the permutation that sorts distinct indices."""
+    return (-1) ** sum(a > b for i, a in enumerate(indices) for b in indices[i + 1:])
+
+
+# (a, b, c, eps_abc) for the 2-form components theta^a^theta^b in BASIS order,
+# with c the remaining index
+EPS_ROWS = tuple((a, b, 6 - a - b, _parity((a, b, 6 - a - b))) for a, b in BASIS[2])
+
+# (p, q) -> (i, j, k, sign): component i of a p-form times component j of a
+# q-form lands on component k of the (p+q)-form; overlapping indices give 0.
+# Listed with i, then j, ascending, so each k's first term is in sorted order
+# (sign +1) and wedge starts each sum from it unnegated.
+_PRODUCTS = {
+    (p, q): [(i, j, BASIS[p + q].index(tuple(sorted(u + v))), _parity(u + v))
+             for i, u in enumerate(BASIS[p]) for j, v in enumerate(BASIS[q]) if not set(u) & set(v)]
+    for p in BASIS for q in BASIS if p + q in BASIS
+}
 
 
 class DegreeError(ValueError):
@@ -63,29 +86,16 @@ class GradedForm:
 
     def __add__(self, other):
         self._check_compatible(other)
-        return GradedForm(
-            self.degree,
-            self.module_rank,
-            self.algebra_dim,
-            tuple(a + b for a, b in zip(self.components, other.components)),
-        )
+        pairs = zip(self.components, other.components)
+        return replace(self, components=tuple(a + b for a, b in pairs))
 
     def __sub__(self, other):
         self._check_compatible(other)
-        return GradedForm(
-            self.degree,
-            self.module_rank,
-            self.algebra_dim,
-            tuple(a - b for a, b in zip(self.components, other.components)),
-        )
+        pairs = zip(self.components, other.components)
+        return replace(self, components=tuple(a - b for a, b in pairs))
 
     def scale(self, c):
-        return GradedForm(
-            self.degree,
-            self.module_rank,
-            self.algebra_dim,
-            tuple(c * comp for comp in self.components),
-        )
+        return replace(self, components=tuple(c * comp for comp in self.components))
 
     def norm(self):
         """Hilbert-Schmidt norm summed over components."""
@@ -118,7 +128,7 @@ def derive(coords, axis, f):
 
 def d0(coords, f):
     """Exterior derivative of a degree-0 element: df = e_a(f) theta^a."""
-    return GradedForm(1, 1, coords.N, tuple(derive(coords, a, f) for a in (1, 2, 3)))
+    return GradedForm(1, 1, coords.N, tuple(derive(coords, a, f) for (a,) in BASIS[1]))
 
 
 def d1(coords, omega):
@@ -129,15 +139,10 @@ def d1(coords, omega):
     """
     if omega.degree != 1:
         raise DegreeError("d1 needs a one-form, got degree %d" % omega.degree)
-    w1, w2, w3 = omega.components
-
-    def e(a, f):
-        return derive(coords, a, f)
-
-    c12 = e(1, w2) - e(2, w1) - 1j * w3
-    c13 = e(1, w3) - e(3, w1) + 1j * w2
-    c23 = e(2, w3) - e(3, w2) - 1j * w1
-    return GradedForm(2, 1, coords.N, (c12, c13, c23))
+    w = omega.components
+    return GradedForm(2, 1, coords.N, tuple(
+        derive(coords, a, w[b - 1]) - derive(coords, b, w[a - 1]) - 1j * s * w[c - 1]
+        for a, b, c, s in EPS_ROWS))
 
 
 def wedge(alpha, beta):
@@ -147,29 +152,11 @@ def wedge(alpha, beta):
     p, q = alpha.degree, beta.degree
     if p + q > 3:
         raise DegreeError("wedge degree overflow: %d + %d > 3" % (p, q))
-    n, N = alpha.module_rank, alpha.algebra_dim
-
-    if p == 0:
-        f = alpha.components[0]
-        return GradedForm(q, n, N, tuple(f @ c for c in beta.components))
-    if q == 0:
-        g = beta.components[0]
-        return GradedForm(p, n, N, tuple(c @ g for c in alpha.components))
-    if p == 1 and q == 1:
-        a1, a2, a3 = alpha.components
-        b1, b2, b3 = beta.components
-        return GradedForm(
-            2, n, N, (a1 @ b2 - a2 @ b1, a1 @ b3 - a3 @ b1, a2 @ b3 - a3 @ b2)
-        )
-    if p == 1 and q == 2:
-        a1, a2, a3 = alpha.components
-        b12, b13, b23 = beta.components
-        return GradedForm(3, n, N, (a1 @ b23 - a2 @ b13 + a3 @ b12,))
-    if p == 2 and q == 1:
-        a12, a13, a23 = alpha.components
-        b1, b2, b3 = beta.components
-        return GradedForm(3, n, N, (a12 @ b3 - a13 @ b2 + a23 @ b1,))
-    raise DegreeError("unsupported degree pair (%d, %d)" % (p, q))
+    comps = [None] * N_COMPONENTS[p + q]
+    for i, j, k, sign in _PRODUCTS[p, q]:
+        term = alpha.components[i] @ beta.components[j]
+        comps[k] = term if comps[k] is None else (comps[k] + term if sign > 0 else comps[k] - term)
+    return GradedForm(p + q, alpha.module_rank, alpha.algebra_dim, tuple(comps))
 
 
 def module_trace(eta):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bundles import build_fuzzy_projector, chern_character_form
-from .calculus import GradedForm
+from .calculus import EPS_ROWS, GradedForm
 from .invariants import require
 from .linalg import ShapeError, hs_inner
 from .su2 import SpinLabel, fuzzy_coordinates
@@ -72,7 +72,7 @@ def volume_form(coords):
     banded.
     """
     lam = (coords.kappa**2 - 2.0) / (8.0 * np.pi)
-    return GradedForm(2, 1, coords.N, (lam * coords.X3, -lam * coords.X2, lam * coords.X1))
+    return GradedForm(2, 1, coords.N, tuple(s * lam * coords.axis(c) for _, _, c, s in EPS_ROWS))
 
 
 def extract_coefficient(F, omega):

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .bundles import PAULI, projector_coefficients
-from .calculus import d0, d1, derive, scalar_form, wedge
+from .calculus import EPS_ROWS, d0, d1, derive, scalar_form, wedge
 from .chern import DENSE_MAX_N, REPORT_BYTES_PER_N, gamma_formula, reports_for, sweep
 from .invariants import BOUNDS, InvariantError
 from .linalg import commutator, frobenius_norm, identity_like, kron, max_abs, normalized_trace
@@ -167,9 +167,8 @@ def _verify_suites(max_n):
         coords = fuzzy_coordinates(SpinLabel(twice_j), banded=twice_j + 1 > DENSE_MAX_N)
         kap = coords.kappa
         xs = [coords.X1, coords.X2, coords.X3]
-        pairs = {(0, 1): (2, 1), (1, 2): (0, 1), (0, 2): (1, -1)}
-        for (p, q), (r, s) in pairs.items():
-            worst = max(worst, max_abs(commutator(xs[p], xs[q]) - 1j * kap * s * xs[r]))
+        for a, b, c, s in EPS_ROWS:
+            worst = max(worst, max_abs(commutator(xs[a - 1], xs[b - 1]) - 1j * kap * s * xs[c - 1]))
         one = identity_like(xs[0], coords.N)
         worst = max(worst, max_abs(xs[0] @ xs[0] + xs[1] @ xs[1] + xs[2] @ xs[2] - one))
         for x in xs:
@@ -194,9 +193,9 @@ def _verify_suites(max_n):
                 wedge(d0(coords, f), scalar_form(g)) + wedge(scalar_form(f), d0(coords, g))
             )
             worst = max(worst, leib.max_entry())
-            for (p, q), (r, s) in {(1, 2): (3, 1), (2, 3): (1, 1), (1, 3): (2, -1)}.items():
-                br = derive(coords, p, derive(coords, q, f)) \
-                    - derive(coords, q, derive(coords, p, f)) - 1j * s * derive(coords, r, f)
+            for a, b, c, s in EPS_ROWS:
+                br = derive(coords, a, derive(coords, b, f)) \
+                    - derive(coords, b, derive(coords, a, f)) - 1j * s * derive(coords, c, f)
                 worst = max(worst, np.max(np.abs(br)))
     yield within("diff-calculus", worst)
 

@@ -1,7 +1,13 @@
+from itertools import combinations, permutations
+
 import numpy as np
 import pytest
 
+import calculus_reference as reference
 from fuzzychern.calculus import (
+    BASIS,
+    EPS_ROWS,
+    N_COMPONENTS,
     DegreeError,
     GradedForm,
     d0,
@@ -11,7 +17,8 @@ from fuzzychern.calculus import (
     scalar_form,
     wedge,
 )
-from fuzzychern.linalg import ShapeError, frobenius_norm, kron
+from fuzzychern.calculus import _parity
+from fuzzychern.linalg import Banded, ShapeError, frobenius_norm, kron
 from fuzzychern.su2 import SpinLabel, fuzzy_coordinates
 from volume_reference import zero_form
 
@@ -166,3 +173,110 @@ def test_module_trace_traceless_factor(coords):
 def test_module_trace_rank_one_is_identity(coords):
     form = d0(coords, randc(coords.N))
     assert module_trace(form) is form
+
+
+# The one table of the exterior algebra
+
+
+def test_eps_rows():
+    assert EPS_ROWS == ((1, 2, 3, 1), (1, 3, 2, -1), (2, 3, 1, 1))
+
+
+def test_basis_is_lexicographic():
+    assert BASIS == {p: tuple(combinations((1, 2, 3), p)) for p in range(4)}
+    assert N_COMPONENTS == {0: 1, 1: 3, 2: 3, 3: 1}
+
+
+def test_parity():
+    signs = {(1, 2, 3): 1, (1, 3, 2): -1, (2, 1, 3): -1, (2, 3, 1): 1, (3, 1, 2): 1, (3, 2, 1): -1}
+    assert {perm: _parity(perm) for perm in permutations((1, 2, 3))} == signs
+    for a, b in combinations((1, 2, 3), 2):
+        assert (_parity((a, b)), _parity((b, a))) == (1, -1)
+
+
+# wedge and d1 against the case-by-case reference, bit for bit
+
+
+def random_component(dim, banded):
+    if not banded:
+        return randc(dim)
+    offsets = rng.choice([-3, -1, 0, 1, 2, 5], size=3, replace=False)
+    diagonals = {o: rng.standard_normal(dim - abs(o)) + 1j * rng.standard_normal(dim - abs(o))
+                 for o in offsets}
+    return Banded.from_diagonals(dim, diagonals)
+
+
+def random_form(degree, module_rank, N, banded):
+    dim = module_rank * N
+    comps = tuple(random_component(dim, banded) for _ in range(N_COMPONENTS[degree]))
+    return GradedForm(degree, module_rank, N, comps)
+
+
+def assert_identical(x, y):
+    assert (x.degree, x.module_rank, x.algebra_dim) == (y.degree, y.module_rank, y.algebra_dim)
+    for a, b in zip(x.components, y.components, strict=True):
+        assert type(a) is type(b)
+        if isinstance(a, Banded):
+            assert np.array_equal(a.offsets, b.offsets)
+            assert np.array_equal(a.data, b.data)
+        else:
+            assert np.array_equal(a, b)
+
+
+FORM_CASES = [(2, False), (3, False), (8, False), (64, True)]
+DEGREE_PAIRS = [(p, q) for p in range(4) for q in range(4 - p)]
+
+
+@pytest.mark.parametrize("N, banded", FORM_CASES)
+@pytest.mark.parametrize("module_rank", [1, 2])
+@pytest.mark.parametrize("p, q", DEGREE_PAIRS)
+def test_wedge_matches_reference(p, q, module_rank, N, banded):
+    for _ in range(3):
+        alpha = random_form(p, module_rank, N, banded)
+        beta = random_form(q, module_rank, N, banded)
+        assert_identical(wedge(alpha, beta), reference.wedge(alpha, beta))
+
+
+@pytest.mark.parametrize("N, banded", FORM_CASES)
+def test_d1_matches_reference(N, banded):
+    coords = fuzzy_coordinates(SpinLabel.from_dimension(N), banded=banded)
+    for _ in range(3):
+        omega = random_form(1, 1, N, banded)
+        assert_identical(d1(coords, omega), reference.d1(coords, omega))
+
+
+# GradedForm validation, which __add__, __sub__ and scale rerun
+
+
+def test_graded_form_arithmetic_refuses_incompatible_forms():
+    base = zero_form(1, 1, 4)
+    for other in (zero_form(2, 1, 4), zero_form(1, 2, 2), zero_form(1, 1, 3)):
+        with pytest.raises(ShapeError):
+            base + other
+        with pytest.raises(ShapeError):
+            base - other
+
+
+def test_graded_form_refuses_a_wrong_component_count():
+    z = np.zeros((4, 4), dtype=complex)
+    with pytest.raises(DegreeError):
+        GradedForm(1, 1, 4, (z, z))
+    with pytest.raises(DegreeError):
+        GradedForm(2, 1, 4, (z,) * 4)
+
+
+def test_graded_form_refuses_a_wrong_shaped_component():
+    z = np.zeros((4, 4), dtype=complex)
+    with pytest.raises(ShapeError):
+        GradedForm(1, 1, 4, (z, z, np.zeros((4, 3), dtype=complex)))
+    with pytest.raises(ShapeError):
+        GradedForm(0, 2, 4, (z,))
+
+
+@pytest.mark.parametrize("degree, module_rank, N", [(0, 2, 3), (1, 1, 4), (2, 2, 2), (3, 1, 5)])
+def test_graded_form_arithmetic_keeps_the_shape(degree, module_rank, N):
+    a = random_form(degree, module_rank, N, False)
+    b = random_form(degree, module_rank, N, False)
+    for out in (a + b, a - b, a.scale(2.5j)):
+        assert (out.degree, out.module_rank, out.algebra_dim) == (degree, module_rank, N)
+        assert len(out.components) == N_COMPONENTS[degree]
