@@ -174,10 +174,10 @@ def kron(a, b):
     """
     if isinstance(a, Banded):
         raise TypeError("kron needs a dense left factor")
-    a = as_matrix(a)
-    if not isinstance(b, Banded):
-        return np.kron(a, as_matrix(b))
+    a, b = as_matrix(a), as_matrix(b)
     r, N = a.shape[0], b.shape[0]
+    if not isinstance(b, Banded):  # np.kron's products, without its overhead
+        return (a[:, None, :, None] * b[None, :, None, :]).reshape(r * N, -1)
     # block (s, t) of the product is a[s, t] b, at offset (t - s) N
     pairs = [(s, t) for s in range(r) for t in range(r) if a[s, t] != 0]
     targets = [(t - s) * N + b.offsets for s, t in pairs]

@@ -242,8 +242,8 @@ def test_memory_estimate_refuses_before_allocating(capsys, monkeypatch, argv):
 
 
 def test_oracle_memory_estimate_refuses_before_allocating(capsys, monkeypatch):
-    # the oracle's memory is a fixed number of bytes per node: about 312 B on
-    # each of 4e11 nodes is over 100 TB
+    # the oracle's memory is a fixed number of bytes per node: about 186 B on
+    # each of 4e11 nodes is over 70 TB
     def never(*args, **kwargs):
         raise AssertionError("the oracle was started")
 

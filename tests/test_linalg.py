@@ -55,6 +55,16 @@ def test_kron_trace_multiplicative():
         assert np.trace(expanded) == pytest.approx(np.trace(a) * np.trace(b))
 
 
+@pytest.mark.parametrize("shapes", [((2, 2), (4, 4)), ((2, 2), (32, 32)), ((3, 2), (2, 5)), ((1, 1), (3, 3))])
+def test_dense_kron_is_numpy_kron_exactly(shapes):
+    a, b = randc(*shapes[0]), randc(*shapes[1])
+    assert np.array_equal(kron(a, b), np.kron(a, b))
+    assert np.array_equal(kron(a.real, b.real), np.kron(a.real, b.real).astype(complex))
+    assert kron(a, b).dtype == np.complex128
+    with pytest.raises(ShapeError):
+        kron(a, b[0])
+
+
 def test_kron_mixed_product():
     a, b, c, d = randc(2), randc(3), randc(2), randc(3)
     assert np.allclose(kron(a, b) @ kron(c, d), kron(a @ c, b @ d))
