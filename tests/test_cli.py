@@ -359,7 +359,10 @@ def test_verify_above_32_builds_a_doubling_ladder(capsys, count_calls):
 # covariance line, and the commutative files stayed byte-identical.
 # sweep_2_12.table was recaptured when table lines stopped ending in the
 # last column's padding: five lines lost their trailing spaces, no other
-# byte changed
+# byte changed. verify_8 was recaptured when the oracle's Gram entries became
+# elementwise sums instead of per-node BLAS dots: its s2-oracle residual rose
+# from 2.220e-16 to 4.441e-16, because the k = 2 charge on 64x128 became
+# 2.0000000000000004, and no other byte of any golden file changed
 GOLDEN_CASES = [
     (("sweep", "--from", "2", "--to", "12"), "sweep_2_12.table"),
     (("sweep", "--from", "2", "--to", "12", "--format", "csv"), "sweep_2_12.csv"),
