@@ -101,9 +101,11 @@ def state_vector_stacks(k, transpose, theta, phi):
 def state_vector_densities(k, transpose, theta, phi):
     """F_tp at each node from the state-vector stacks."""
     psi, dt, dp = state_vector_stacks(k, transpose, theta, phi)
+    def inner(x, y):  # <x|y> per node, an elementwise sum: no BLAS kernel's rounding
+        return np.sum(x.conj() * y, axis=-1)
+
     # F_tp = a - conj(a), a = <dt psi|dp psi> - <dt psi|psi><psi|dp psi>
-    bra, ket = dt.conj()[:, None], dp[..., None]  # (m, 1, 2^k) rows, (m, 2^k, 1) columns
-    a = (bra @ ket - (bra @ psi[..., None]) * (psi.conj()[:, None] @ ket))[:, 0, 0]
+    a = inner(dt, dp) - inner(dt, psi) * inner(psi, dp)
     return a - a.conj()
 
 

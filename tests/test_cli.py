@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
+import platform
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -386,6 +390,49 @@ def test_output_matches_golden_file(capsys, argv, name):
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     assert out == (GOLDEN / name).read_text()
+
+
+def blas_kernels():
+    """OPENBLAS_CORETYPE values this CPU can run; None leaves the variable unset."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return [None]
+    from numpy._core._multiarray_umath import __cpu_features__ as cpu
+    return [None, "Prescott"] + (["Haswell"] if cpu.get("AVX2") and cpu.get("FMA3") else [])
+
+
+ORACLE_SCRIPT = """
+import sys
+from fuzzychern.cli import main
+from fuzzychern.sphere_oracle import build_quadrature, chern_number_commutative
+grid = build_quadrature(64, 128)
+print([chern_number_commutative(k, t, grid) for k in range(1, 13) for t in (False, True)])
+sys.exit(max(main(['commutative', '--k', '4', '--transpose', '--format', 'csv']),
+             main(['verify', '--max-N', '8'])))
+"""
+
+
+def test_oracle_output_does_not_depend_on_the_blas_kernel():
+    # the oracle makes no BLAS call, so forcing another OpenBLAS kernel in the
+    # child process leaves its charges bit-identical and its output
+    # byte-identical; verify's other lines may move. The repr of every charge
+    # sees a last-bit change that the printed 15 digits hide
+    src = str(Path(__file__).parents[1] / "src")
+    outputs = []
+    for kernel in blas_kernels():
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if kernel:
+            env["OPENBLAS_CORETYPE"] = kernel
+        proc = subprocess.run([sys.executable, "-c", ORACLE_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        verify = lines.index(next(line for line in lines if line.startswith("linalg-core")))
+        oracle = [line for line in lines[verify:] if line.startswith("s2-oracle")]
+        assert len(oracle) == 1 and "PASS" in oracle[0]
+        outputs.append(lines[:verify] + oracle)
+    assert outputs[0][1:-1] == (GOLDEN / "commutative_4_transpose.csv").read_text().splitlines()
+    assert all(out == outputs[0] for out in outputs)
 
 
 def test_golden_files_are_exactly_the_cases():
