@@ -206,6 +206,21 @@ def test_densities_take_constant_memory_per_node():
     assert peak / len(theta) < 400
 
 
+def test_node_bytes_covers_the_peak_of_a_call():
+    # cmd_commutative refuses grids by NODE_BYTES per node, grid arrays
+    # included; a warm-up call keeps numpy's one-time allocations out of it
+    chern_number_commutative(1, False, build_quadrature(4, 8))
+    for k in (1, 4, 12):
+        for transpose in (False, True):
+            tracemalloc.start()
+            try:
+                chern_number_commutative(k, transpose, build_quadrature(100, 1000))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= sphere_oracle.NODE_BYTES * 100 * 1000
+
+
 @pytest.mark.parametrize("n_polar, n_azimuthal, k",
                          [(16, 32, k) for k in range(1, 13)] + [(4, 8, k) for k in range(1, 9)])
 def test_integer_charges_up_to_max_tensor_power(n_polar, n_azimuthal, k):
