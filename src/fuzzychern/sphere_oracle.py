@@ -73,12 +73,12 @@ def _projectors_and_derivatives(k, transpose, theta, phi):
     <d_theta psi_k|d_phi psi_k>, each (m,); p_k = psi_k psi_k^dagger."""
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     e = np.exp(1j * phi)
-    # psi = (c, e s), d_theta psi = (-s/2, e c/2), d_phi psi = (0, i e s), and
-    # <a|b> = conj(a_0) b_0 + conj(a_1) b_1 elementwise, no BLAS call
+    # psi = (c, e s), d_theta psi = (-s/2, e c/2), d_phi psi = (0, i e s); no BLAS
+    # call: <a|b> = conj(a_0) b_0 + conj(a_1) b_1 elementwise, i taken out of gsp, gtp
     es, ec = e * s, e * (c / 2.0)
     x, y = es.conj() * es, ec.conj() * es
     gss, gts, gsp, gtp = c * c + x, (-s / 2.0) * c + y, 1j * x, 1j * y
-    del c, s, e, es, ec, x, y  # O(1) memory per node: free before the loop
+    del c, s, e, es, ec, x, y  # 96 B per node that the loop would hold at its peak
     if transpose:  # p^T = conj(p) projects onto conj(psi): conjugate entries
         gss, gts, gsp, gtp = gss.conj(), gts.conj(), gsp.conj(), gtp.conj()
     ss, ts, sp, tp = gss, gts, gsp, gtp

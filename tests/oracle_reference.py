@@ -101,6 +101,7 @@ def state_vector_stacks(k, transpose, theta, phi):
 def state_vector_densities(k, transpose, theta, phi):
     """F_tp at each node from the state-vector stacks."""
     psi, dt, dp = state_vector_stacks(k, transpose, theta, phi)
+
     def inner(x, y):  # <x|y> per node, an elementwise sum: no BLAS kernel's rounding
         return np.sum(x.conj() * y, axis=-1)
 

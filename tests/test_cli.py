@@ -396,7 +396,10 @@ def blas_kernels():
     """OPENBLAS_CORETYPE values this CPU can run; None leaves the variable unset."""
     if platform.machine().lower() not in ("x86_64", "amd64"):
         return [None]
-    from numpy._core._multiarray_umath import __cpu_features__ as cpu
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as cpu
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__ as cpu
     return [None, "Prescott"] + (["Haswell"] if cpu.get("AVX2") and cpu.get("FMA3") else [])
 
 
