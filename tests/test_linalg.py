@@ -55,7 +55,8 @@ def test_kron_trace_multiplicative():
         assert np.trace(expanded) == pytest.approx(np.trace(a) * np.trace(b))
 
 
-@pytest.mark.parametrize("shapes", [((2, 2), (4, 4)), ((2, 2), (32, 32)), ((3, 2), (2, 5)), ((1, 1), (3, 3))])
+@pytest.mark.parametrize("shapes", [((2, 2), (4, 4)), ((2, 2), (32, 32)),
+                                    ((3, 2), (2, 5)), ((1, 1), (3, 3))])
 def test_dense_kron_is_numpy_kron_exactly(shapes):
     a, b = randc(*shapes[0]), randc(*shapes[1])
     assert np.array_equal(kron(a, b), np.kron(a, b))
