@@ -67,14 +67,6 @@ class Banded:
             row[max(0, -o):n - max(0, o)] = diagonals[o]
         return cls(offsets, data)
 
-    def toarray(self):
-        n = self.shape[0]
-        out = np.zeros(self.shape, dtype=np.complex128)
-        for o, d in zip(self.offsets, self.data):
-            rows = np.arange(max(0, -o), min(n, n - o))
-            out[rows, rows + o] = d[rows]
-        return out
-
     def _same_shape(self, other):
         if self.shape != other.shape:
             raise ShapeError("banded shapes differ: %s and %s" % (self.shape, other.shape))
@@ -224,8 +216,10 @@ def hs_inner(a, b):
 
 
 def frobenius_norm(a):
+    """sqrt(sum |a_ij|^2) by elementwise sums, not a BLAS dot: kernel-independent."""
     a = as_matrix(a)
-    return float(np.linalg.norm(a.data if isinstance(a, Banded) else a))
+    x = np.ascontiguousarray(a.data if isinstance(a, Banded) else a).view(np.float64)
+    return float(np.sqrt(np.add.reduce(x * x, axis=None)))  # x holds re, im, re, ...
 
 
 def max_abs(a):

@@ -5,6 +5,7 @@ from fuzzychern.bundles import build_fuzzy_projector, curvature, projector_coeff
 from fuzzychern.calculus import scalar_form, wedge
 from fuzzychern.su2 import SpinLabel, fuzzy_coordinates
 import curvature_reference as reference
+from banded_reference import toarray
 from oracle_reference import (
     OffSphereError,
     PointOnSphere,
@@ -91,7 +92,7 @@ def test_fuzzy_projector_stores_its_residuals(N, banded):
         # the same up to the order of the roundings in p @ p
         tol = 0.0
         if banded:
-            p, tol = p.toarray(), 1e-15
+            p, tol = toarray(p), 1e-15
         assert abs(proj.idempotency - np.max(np.abs(p @ p - p))) <= tol
         assert abs(proj.selfadjointness - np.max(np.abs(p - p.conj().T))) <= tol
 

@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import json
 import os
@@ -184,16 +185,46 @@ def test_verify_passes(capsys):
     ("covariance", "covariance"),
     ("chern-integration", "chern-integration"),
     ("s2-oracle", "s2-oracle"),
+    ("commutative-limit", "commutative-limit"),
 ])
 def test_verify_fails_the_suite_whose_bound_no_residual_meets(capsys, monkeypatch, stage, suite):
-    # only verify's copy is patched: the build check shares the projector entry
-    # and would otherwise raise before the bundles suite is printed
-    monkeypatch.setattr(cli, "BOUNDS", {**invariants.BOUNDS, stage: -1.0})
+    # the build check is stubbed: it shares the projector entry and would
+    # otherwise raise before the bundles suite is printed
+    monkeypatch.setitem(invariants.BOUNDS, stage, -1.0)
+    monkeypatch.setattr(bundles, "require", lambda *args: None)
     code, out, _ = run(capsys, "verify", "--max-N", "4")
     assert code == 1
     failed = [l.split()[0] for l in out.splitlines() if " FAIL " in l]
     assert failed == [suite]
     assert out.endswith("1 suite(s) failed\n")
+    # the FAIL line names the input of the suite's worst residual
+    line = next(l for l in out.splitlines() if " FAIL " in l)
+    pattern = r"%s +FAIL  \(max residual \S+ at (%s)\)"
+    assert re.fullmatch(pattern % (re.escape(suite), VERIFY_INPUTS[stage]), line)
+
+
+# the input each verify stage names, as the build-time checks name N and sign
+VERIFY_INPUTS = {
+    "linalg-trace": r"8x8 a, b",
+    "linalg-kron": r"8x8 a, b, 3x3 c",
+    "su2-repr": r"N=[2-8]",
+    "diff-calculus": r"N=[2-8]",
+    "projector": r"N=[2-4] sign=[+-]1",
+    "covariance": r"N=[2-8]",
+    "chern-integration": r"N=[2-4] sign=[+-]1",
+    "s2-oracle": r"k=[12]( transpose)?|volume",
+    "commutative-limit": r"N=4 sign=[+-]1",
+}
+
+
+def test_every_bound_is_met_through_check(capsys, count_calls):
+    # a suite or build step that compared a residual with its bound inline
+    # would leave its stage out
+    calls = count_calls(invariants, "check")
+    for argv in (("fuzzy", "--N", "3"), ("commutative", "--k", "1", "--grid", "8x16"),
+                 ("verify", "--max-N", "4")):
+        assert run(capsys, *argv)[0] == 0
+    assert {args[0] for args in calls} == set(invariants.BOUNDS)
 
 
 def test_verify_checks_each_computed_c1_against_the_commutative_limit(capsys, monkeypatch):
@@ -206,8 +237,9 @@ def test_verify_checks_each_computed_c1_against_the_commutative_limit(capsys, mo
     monkeypatch.setattr(cli, "sweep", off_limit)
     code, out, _ = run(capsys, "verify", "--max-N", "8")
     assert code == 1
-    failed = [l.split()[0] for l in out.splitlines() if " FAIL " in l]
-    assert failed == ["commutative-limit"]
+    failed = [l for l in out.splitlines() if " FAIL " in l]
+    assert [l.split()[0] for l in failed] == ["commutative-limit"]
+    assert failed[0].endswith(" at N=8 sign=-1)")
     assert out.endswith("1 suite(s) failed\n")
 
 
@@ -385,11 +417,25 @@ GOLDEN_CASES = [
 ]
 
 
+def openblas_kernel():
+    """The kernel OpenBLAS picked at run time, read from the OpenBLAS library
+    that numpy wheels ship under numpy.libs; "unknown" without it."""
+    for path in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 @pytest.mark.parametrize("argv, name", GOLDEN_CASES)
 def test_output_matches_golden_file(capsys, argv, name):
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
-    assert out == (GOLDEN / name).read_text()
+    # dense products are BLAS calls, so a mismatch names the kernel it met
+    assert out == (GOLDEN / name).read_text(), "OpenBLAS kernel %s" % openblas_kernel()
 
 
 def blas_kernels():
@@ -410,15 +456,18 @@ from fuzzychern.sphere_oracle import build_quadrature, chern_number_commutative
 grid = build_quadrature(64, 128)
 print([chern_number_commutative(k, t, grid) for k in range(1, 13) for t in (False, True)])
 sys.exit(max(main(['commutative', '--k', '4', '--transpose', '--format', 'csv']),
+             main(['fuzzy', '--N', '75', '--sign', 'plus', '--format', 'csv']),
              main(['verify', '--max-N', '8'])))
 """
 
 
-def test_oracle_output_does_not_depend_on_the_blas_kernel():
-    # the oracle makes no BLAS call, so forcing another OpenBLAS kernel in the
-    # child process leaves its charges bit-identical and its output
-    # byte-identical; verify's other lines may move. The repr of every charge
-    # sees a last-bit change that the printed 15 digits hide
+def test_oracle_and_banded_output_do_not_depend_on_the_blas_kernel():
+    # neither the oracle nor a banded report (N > DENSE_MAX_N) makes a BLAS
+    # call, so forcing another OpenBLAS kernel in the child process leaves the
+    # oracle's charges bit-identical and both outputs byte-identical; verify's
+    # other lines may move. The repr of every charge sees a last-bit change
+    # that the printed 15 digits hide, and N = 75's residual moved in its last
+    # printed digit while the Frobenius norm was a BLAS dot
     src = str(Path(__file__).parents[1] / "src")
     outputs = []
     for kernel in blas_kernels():
@@ -434,7 +483,8 @@ def test_oracle_output_does_not_depend_on_the_blas_kernel():
         oracle = [line for line in lines[verify:] if line.startswith("s2-oracle")]
         assert len(oracle) == 1 and "PASS" in oracle[0]
         outputs.append(lines[:verify] + oracle)
-    assert outputs[0][1:-1] == (GOLDEN / "commutative_4_transpose.csv").read_text().splitlines()
+    assert outputs[0][1:3] == (GOLDEN / "commutative_4_transpose.csv").read_text().splitlines()
+    assert outputs[0][3].startswith("N,sign,") and outputs[0][4].startswith("75,plus,")
     assert all(out == outputs[0] for out in outputs)
 
 

@@ -15,6 +15,7 @@ from fuzzychern.linalg import (
     partial_trace,
 )
 from fuzzychern.su2 import SpinLabel, fuzzy_coordinates
+from banded_reference import toarray
 
 SIGMA3 = np.diag([1.0, -1.0])
 
@@ -121,6 +122,14 @@ def test_frobenius_norm_definite():
     assert frobenius_norm(a) > 0.0
 
 
+def test_frobenius_norm_of_views_and_real_input():
+    # transposed and column-strided views, whose entries are not adjacent in memory
+    a = randc(6, 10)
+    for view in (a, a.T, a[:, ::2], a[1:2, ::2], a[::2]):
+        assert frobenius_norm(view) == pytest.approx(np.linalg.norm(view), rel=1e-15)
+    assert frobenius_norm(a.real[:, ::3]) == pytest.approx(np.linalg.norm(a.real[:, ::3]), rel=1e-15)
+
+
 def test_hs_inner_matches_norm():
     a = randc(5)
     assert hs_inner(a, a).real == pytest.approx(frobenius_norm(a) ** 2)
@@ -152,19 +161,19 @@ BANDED_CASES = [
 @pytest.mark.parametrize("n,offs_a,offs_b", BANDED_CASES)
 def test_banded_matches_dense(n, offs_a, offs_b):
     a, b = random_banded(n, offs_a), random_banded(n, offs_b)
-    A, B = a.toarray(), b.toarray()
-    assert np.max(np.abs((a @ b).toarray() - A @ B)) <= 1e-13
-    assert np.array_equal((a + b).toarray(), A + B)
-    assert np.array_equal((a - b).toarray(), A - B)
-    assert np.array_equal((-a).toarray(), -A)
-    assert np.array_equal((2.5j * a).toarray(), 2.5j * A)
-    assert np.array_equal((a / 3.0).toarray(), A / 3.0)
-    assert np.array_equal(a.conj().T.toarray(), A.conj().T)
+    A, B = toarray(a), toarray(b)
+    assert np.max(np.abs(toarray(a @ b) - A @ B)) <= 1e-13
+    assert np.array_equal(toarray(a + b), A + B)
+    assert np.array_equal(toarray(a - b), A - B)
+    assert np.array_equal(toarray(-a), -A)
+    assert np.array_equal(toarray(2.5j * a), 2.5j * A)
+    assert np.array_equal(toarray(a / 3.0), A / 3.0)
+    assert np.array_equal(toarray(a.conj().T), A.conj().T)
     assert normalized_trace(a) == pytest.approx(np.trace(A) / n, abs=1e-14)
     assert hs_inner(a, b) == pytest.approx(np.sum(A.conj() * B), abs=1e-12)
     assert max_abs(a) == np.max(np.abs(A))
     assert frobenius_norm(a) == pytest.approx(np.linalg.norm(A), rel=1e-14)
-    assert np.array_equal(commutator(a, b).toarray(), (a @ b - b @ a).toarray())
+    assert np.array_equal(toarray(commutator(a, b)), toarray(a @ b - b @ a))
 
 
 def matmul_by_diagonal_pairs(a, b):
@@ -191,7 +200,7 @@ def test_banded_matmul_sums_diagonal_pairs_in_order(n, offs_a, offs_b):
     for x, y in ((a, b), (b, a), (a, a)):
         expected = matmul_by_diagonal_pairs(x, y)
         product = x @ y
-        assert np.array_equal(product.toarray(), expected)
+        assert np.array_equal(toarray(product), expected)
         assert list(product.offsets) == [o for o in range(1 - n, n)
                                          if np.diagonal(expected, o).any()]
 
@@ -204,9 +213,9 @@ def test_banded_empty_operands_keep_their_shape():
         assert result.shape == (6, 6)
     for result in (empty @ a, a @ empty, empty @ empty, empty + empty, empty - empty):
         assert len(result.offsets) == 0
-    assert np.array_equal((empty + a).toarray(), a.toarray())
-    assert np.array_equal((a - empty).toarray(), a.toarray())
-    assert np.array_equal((empty - a).toarray(), -a.toarray())
+    assert np.array_equal(toarray(empty + a), toarray(a))
+    assert np.array_equal(toarray(a - empty), toarray(a))
+    assert np.array_equal(toarray(empty - a), -toarray(a))
 
 
 def test_banded_matmul_drops_offsets_outside_the_matrix():
@@ -216,7 +225,7 @@ def test_banded_matmul_drops_offsets_outside_the_matrix():
     a = random_banded(n, (-4, -3, 3, 4))
     product = a @ a
     assert list(product.offsets) == [-1, 0, 1]
-    assert np.max(np.abs(product.toarray() - a.toarray() @ a.toarray())) <= 1e-13
+    assert np.max(np.abs(toarray(product) - toarray(a) @ toarray(a))) <= 1e-13
 
 
 def test_banded_scaling_by_zero_drops_every_diagonal():
@@ -239,7 +248,7 @@ def test_banded_diagonal_counts_stay_bounded_at_n_1000(sign):
 def test_banded_from_diagonals_layout():
     b = Banded.from_diagonals(4, {-1: [1, 2, 3], 2: [4, 5]})
     expected = np.diag([1, 2, 3], -1) + np.diag([4, 5], 2)
-    assert np.array_equal(b.toarray(), expected)
+    assert np.array_equal(toarray(b), expected)
     assert list(b.offsets) == [-1, 2]
 
 
@@ -258,15 +267,15 @@ def test_banded_drops_zero_diagonals():
 ])
 def test_banded_kron_with_dense_factor(small):
     b = random_banded(5, (-1, 0, 1, 3))
-    assert np.array_equal(kron(small, b).toarray(), kron(small, b.toarray()))
+    assert np.array_equal(toarray(kron(small, b)), kron(small, toarray(b)))
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_banded_partial_trace(r):
     N = 5
     c = random_banded(r * N, range(-r * N + 1, r * N, 2))
-    C = c.toarray().reshape(r, N, r, N)
-    assert np.max(np.abs(partial_trace(c, r).toarray() - np.einsum("iaib->ab", C))) <= 1e-14
+    C = toarray(c).reshape(r, N, r, N)
+    assert np.max(np.abs(toarray(partial_trace(c, r)) - np.einsum("iaib->ab", C))) <= 1e-14
 
 
 def test_banded_refuses_dense_operands():
