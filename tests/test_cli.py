@@ -176,6 +176,20 @@ def test_verify_passes(capsys):
     assert "all suites passed" in out
 
 
+# the input each verify stage names, as the build-time checks name N and sign
+VERIFY_INPUTS = {
+    "linalg-trace": r"8x8 a, b",
+    "linalg-kron": r"8x8 a, b, 3x3 c",
+    "su2-repr": r"N=[2-8]",
+    "diff-calculus": r"N=[2-8]",
+    "projector": r"N=[2-4] sign=[+-]1",
+    "covariance": r"N=[2-8]",
+    "chern-integration": r"N=[2-4] sign=[+-]1",
+    "s2-oracle": r"k=[12]( transpose)?|volume",
+    "commutative-limit": r"N=4 sign=[+-]1",
+}
+
+
 @pytest.mark.parametrize("stage, suite", [
     ("linalg-trace", "linalg-core"),
     ("linalg-kron", "linalg-core"),
@@ -201,20 +215,6 @@ def test_verify_fails_the_suite_whose_bound_no_residual_meets(capsys, monkeypatc
     line = next(l for l in out.splitlines() if " FAIL " in l)
     pattern = r"%s +FAIL  \(max residual \S+ at (%s)\)"
     assert re.fullmatch(pattern % (re.escape(suite), VERIFY_INPUTS[stage]), line)
-
-
-# the input each verify stage names, as the build-time checks name N and sign
-VERIFY_INPUTS = {
-    "linalg-trace": r"8x8 a, b",
-    "linalg-kron": r"8x8 a, b, 3x3 c",
-    "su2-repr": r"N=[2-8]",
-    "diff-calculus": r"N=[2-8]",
-    "projector": r"N=[2-4] sign=[+-]1",
-    "covariance": r"N=[2-8]",
-    "chern-integration": r"N=[2-4] sign=[+-]1",
-    "s2-oracle": r"k=[12]( transpose)?|volume",
-    "commutative-limit": r"N=4 sign=[+-]1",
-}
 
 
 def test_every_bound_is_met_through_check(capsys, count_calls):
