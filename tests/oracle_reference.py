@@ -9,7 +9,9 @@ derivatives, and p_k, d_theta p_k and d_phi p_k as Kronecker products of the
 that ``sphere_oracle`` runs on inner products. The matrix curvature density is
 tr p_k (dt dp - dp dt). The projector itself is also built pointwise, from a
 checked point of the unit sphere, and ``curvature_density`` reads the
-inner-product path at one point.
+inner-product path at one point. ``node_arrays`` and the ``per_node_``
+functions evaluate the oracle the way it ran before the grid kept only its
+1-D factors: every input at every node, then one ``np.sum``.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from fuzzychern.bundles import PAULI
-from fuzzychern.sphere_oracle import MAX_TENSOR_POWER, curvature_densities
+from fuzzychern.sphere_oracle import (
+    MAX_TENSOR_POWER,
+    build_quadrature,
+    chern_number_commutative,
+    curvature_densities,
+    volume_check,
+)
 
 
 class OffSphereError(ValueError):
@@ -153,3 +161,50 @@ def matrix_curvature_densities(k, transpose, theta, phi):
 def outer(a, b):
     """|a><b| for each row of the stacks a and b."""
     return a[:, :, None] * b[:, None, :].conj()
+
+
+def node_arrays(grid):
+    """Polar angle, azimuth and solid-angle weight at each node, in C order."""
+    tt, pp = np.meshgrid(grid.polar_angles, grid.azimuths, indexing="ij")
+    ww = np.outer(grid.polar_weights, np.full(grid.n_azimuthal, 2.0 * np.pi / grid.n_azimuthal))
+    return tt.ravel(), pp.ravel(), ww.ravel()
+
+
+def per_node_densities(k, transpose, grid):
+    thetas, phis, _ = node_arrays(grid)
+    return curvature_densities(k, transpose, thetas, phis)
+
+
+def per_node_chern_number(k, transpose, grid):
+    """``chern_number_commutative`` with cos, sin and exp at every node."""
+    thetas, _, weights = node_arrays(grid)
+    vals = per_node_densities(k, transpose, grid) / np.sin(thetas)
+    return float((np.sum(weights * vals) / (2.0j * np.pi)).real)
+
+
+def per_node_volume(grid):
+    _, _, weights = node_arrays(grid)
+    return float(np.sum(weights * np.full(len(weights), 1.0 / (4.0 * np.pi))))
+
+
+IDENTITY_GRIDS = ((64, 128), (33, 70), (4, 8))
+
+
+def factor_path_mismatches(grids=IDENTITY_GRIDS):
+    """Every (grid, k, transpose) at which the factor evaluation and the
+    per-node path differ in any bit, of the densities, the charge or the
+    volume; an empty list when none does."""
+    out = []
+    for n_polar, n_azimuthal in grids:
+        g = build_quadrature(n_polar, n_azimuthal)
+        if volume_check(g) != per_node_volume(g):
+            out.append("%dx%d volume" % (n_polar, n_azimuthal))
+        theta, phi = g.polar_angles[:, None], g.azimuths[None, :]
+        for k in range(1, MAX_TENSOR_POWER + 1):
+            for transpose in (False, True):
+                dens = curvature_densities(k, transpose, theta, phi).ravel()
+                if not (np.array_equal(dens, per_node_densities(k, transpose, g))
+                        and chern_number_commutative(k, transpose, g)
+                        == per_node_chern_number(k, transpose, g)):
+                    out.append("%dx%d k=%d transpose=%s" % (n_polar, n_azimuthal, k, transpose))
+    return out

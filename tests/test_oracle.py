@@ -1,5 +1,12 @@
+import dataclasses
 import functools
+import json
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +21,10 @@ from fuzzychern.sphere_oracle import (
 from oracle_reference import (
     PointOnSphere,
     curvature_density,
+    factor_path_mismatches,
     matrix_curvature_densities,
     matrix_projectors_and_derivatives,
+    node_arrays,
     outer,
     power_projector,
     state_vector_densities,
@@ -38,11 +47,11 @@ def random_angles(n, gen=rng):
 
 
 def test_grid_weights_sum_to_solid_angle(grid):
-    assert grid.weights.sum() == pytest.approx(4.0 * np.pi, rel=1e-12)
+    assert node_arrays(grid)[2].sum() == pytest.approx(4.0 * np.pi, rel=1e-12)
 
 
 def test_grid_moments(grid):
-    x3 = np.cos(grid.thetas)
+    x3 = np.cos(node_arrays(grid)[0])
     assert abs(grid.integrate(np.ones_like(x3)) - 4.0 * np.pi) <= 1e-10
     assert abs(grid.integrate(x3)) <= 1e-12
     assert grid.integrate(x3**2) == pytest.approx(4.0 * np.pi / 3.0, rel=1e-12)
@@ -187,10 +196,10 @@ def test_gram_densities_match_the_state_vectors(transpose):
 
 
 def test_densities_of_a_slice_are_that_slice_of_the_densities():
-    g = build_quadrature(16, 32)
-    whole = sphere_oracle.curvature_densities(5, True, g.thetas, g.phis)
+    thetas, phis, _ = node_arrays(build_quadrature(16, 32))
+    whole = sphere_oracle.curvature_densities(5, True, thetas, phis)
     for part in (slice(0, 1), slice(3, 10), slice(None, None, 7), slice(500, None)):
-        sliced = sphere_oracle.curvature_densities(5, True, g.thetas[part], g.phis[part])
+        sliced = sphere_oracle.curvature_densities(5, True, thetas[part], phis[part])
         assert np.array_equal(sliced, whole[part])
 
 
@@ -207,8 +216,8 @@ def test_densities_take_constant_memory_per_node():
 
 
 def test_node_bytes_covers_the_peak_of_a_call():
-    # cmd_commutative refuses grids by NODE_BYTES per node, grid arrays
-    # included; a warm-up call keeps numpy's one-time allocations out of it
+    # cmd_commutative refuses grids by NODE_BYTES per node, grid built in the
+    # trace; a warm-up call keeps numpy's one-time allocations out of it
     chern_number_commutative(1, False, build_quadrature(4, 8))
     for k in (1, 4, 12):
         for transpose in (False, True):
@@ -219,6 +228,9 @@ def test_node_bytes_covers_the_peak_of_a_call():
             finally:
                 tracemalloc.stop()
             assert peak <= sphere_oracle.NODE_BYTES * 100 * 1000
+            # the estimate is the measured ceiling, not a stale larger figure
+            if k > 1:
+                assert peak >= 0.95 * sphere_oracle.NODE_BYTES * 100 * 1000
 
 
 @pytest.mark.parametrize("n_polar, n_azimuthal, k",
@@ -229,12 +241,72 @@ def test_integer_charges_up_to_max_tensor_power(n_polar, n_azimuthal, k):
     assert abs(chern_number_commutative(k, True, g) + k) <= 1e-8
 
 
+def test_grid_holds_its_factors_not_per_node_arrays():
+    g = build_quadrature(1000, 2000)
+    arrays = [getattr(g, f.name) for f in dataclasses.fields(g)]
+    nbytes = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+    assert nbytes == 8 * (2 * 1000 + 2000)
+
+
+def test_factor_evaluation_equals_the_per_node_path():
+    # trig on the grid's factors, broadcast, gives every node's bits, and the
+    # weighted sum adds them in the same order
+    assert factor_path_mismatches() == []
+
+
+# numpy's dispatch targets above X86_V3, then X86_V3: each level disables its
+# group and the groups before it
+SIMD_GROUPS = {"no-avx512": ("X86_V4", "AVX512_ICL", "AVX512_SPR"), "no-x86-v3": ("X86_V3",)}
+
+
+def simd_disabled(level):
+    """NPY_DISABLE_CPU_FEATURES for the level: only features numpy reports
+    as found; None when the host lacks the level's own group."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return None
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as cpu
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__ as cpu
+    names = list(SIMD_GROUPS)
+    groups = [[f for f in SIMD_GROUPS[n] if cpu.get(f)] for n in names[:names.index(level) + 1]]
+    return " ".join(sum(groups, [])) if groups[-1] else None
+
+
+SIMD_SCRIPT = """
+import json
+from numpy._core._multiarray_umath import __cpu_features__ as cpu
+from oracle_reference import factor_path_mismatches
+print(json.dumps([sorted(f for f, on in cpu.items() if on), factor_path_mismatches()]))
+"""
+
+
+@pytest.mark.parametrize("level", list(SIMD_GROUPS))
+def test_factor_evaluation_equals_the_per_node_path_under_each_simd_level(level):
+    # with a stride-0 operand numpy may pick another inner loop than on
+    # contiguous arrays, and its fused complex multiply decides bits
+    disabled = simd_disabled(level)
+    if disabled is None:
+        pytest.skip("this host has none of %s" % " ".join(SIMD_GROUPS[level]))
+    root = Path(__file__).parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), str(root / "tests"), env.get("PYTHONPATH")]))
+    env["NPY_DISABLE_CPU_FEATURES"] = disabled
+    proc = subprocess.run([sys.executable, "-c", SIMD_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    enabled, mismatches = json.loads(proc.stdout)
+    assert not set(disabled.split()) & set(enabled)
+    assert mismatches == []
+
+
 def test_finite_difference_charge():
     g = build_quadrature(32, 64)
-    st = np.sin(g.thetas)
+    thetas, phis, _ = node_arrays(g)
     vals = np.array(
-        [finite_difference_density(1, t, p) for t, p in zip(g.thetas, g.phis)]
-    ) / st
+        [finite_difference_density(1, t, p) for t, p in zip(thetas, phis)]
+    ) / np.sin(thetas)
     c1 = (g.integrate(vals) / (2.0j * np.pi)).real
     assert abs(c1 - chern_number_commutative(1, False, g)) <= 1e-6
 
