@@ -398,7 +398,13 @@ def test_verify_above_32_builds_a_doubling_ladder(capsys, count_calls):
 # byte changed. verify_8 was recaptured when the oracle's Gram entries became
 # elementwise sums instead of per-node BLAS dots: its s2-oracle residual rose
 # from 2.220e-16 to 4.441e-16, because the k = 2 charge on 64x128 became
-# 2.0000000000000004, and no other byte of any golden file changed
+# 2.0000000000000004, and no other byte of any golden file changed.
+# verify_8 was recaptured when the Gauss-Legendre nodes came from Newton's
+# method instead of leggauss and verify's random inputs from random.Random(7)
+# instead of numpy.random: its s2-oracle residual fell from 4.441e-16 to
+# 2.220e-16, because the k = 2 charge on 64x128 became exactly 2 again, its
+# diff-calculus residual from 1.750e-14 to 6.350e-15 on the new inputs, and
+# the commutative files stayed byte-identical
 GOLDEN_CASES = [
     (("sweep", "--from", "2", "--to", "12"), "sweep_2_12.table"),
     (("sweep", "--from", "2", "--to", "12", "--format", "csv"), "sweep_2_12.csv"),
