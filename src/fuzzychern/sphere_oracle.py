@@ -66,6 +66,7 @@ def _gauss_legendre(n):
         x = x - dx
         if np.abs(dx).max() <= 4e-16:  # the steps are rounding noise
             break
+    x[n // 2:] = 0.0  # odd n: the middle node, which Newton leaves near 1e-80
     # Christoffel weights 2 / sum_{j<n} (2j+1) P_j^2: about 1e-16 from the exact
     # weights, where 2 (1 - x^2) / (n P_{n-1})^2 is 1e-14 off at n = 128
     w = np.concatenate((2.0 / s, 2.0 / s[n // 2 - 1::-1]))

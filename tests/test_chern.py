@@ -1,9 +1,17 @@
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fuzzychern.bundles import build_fuzzy_projector
 from fuzzychern.chern import (
     DENSE_MAX_N,
+    REPORT_BYTES_PER_N,
     DegenerateVolumeError,
     chern_number,
     extract_coefficient,
@@ -13,7 +21,7 @@ from fuzzychern.chern import (
     sweep,
     volume_form,
 )
-from fuzzychern.linalg import max_abs, normalized_trace
+from fuzzychern.linalg import Banded, max_abs, normalized_trace
 from fuzzychern.su2 import SpinLabel, fuzzy_coordinates
 from volume_reference import derived_volume_form
 
@@ -236,8 +244,6 @@ def test_banded_report_matches_dense(N, sign):
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_report_for_large_n_in_linear_memory(sign):
-    import tracemalloc
-
     N = 4096
     tracemalloc.start()
     try:
@@ -251,6 +257,59 @@ def test_report_for_large_n_in_linear_memory(sign):
     # one dense N x N complex matrix takes 16 N^2 bytes (268 MB here); the
     # banded pipeline peaks near 11 MB, so allow an eighth of one matrix
     assert peak < 16 * N * N / 8
+
+
+def test_a_report_makes_the_same_banded_operations_at_every_n(monkeypatch):
+    # a product costs O(diagonals x N), so a fixed count of products on operands
+    # of boundedly many diagonals is the O(N) claim; counted by wrapping the
+    # class's methods, as bench/spans.py wraps functions. A change that moves a
+    # count updates the pin
+    products, constructions = [], []
+    matmul, init = Banded.__matmul__, Banded.__init__
+
+    def counted_matmul(self, other):
+        products.append(max(len(self.offsets), len(other.offsets)))
+        return matmul(self, other)
+
+    def counted_init(self, *args):
+        constructions.append(None)  # not the operands, which would stay alive
+        init(self, *args)
+
+    monkeypatch.setattr(Banded, "__matmul__", counted_matmul)
+    monkeypatch.setattr(Banded, "__init__", counted_init)
+    for N in (64, 1000, 10000):
+        products.clear()
+        constructions.clear()
+        reports_for(N)
+        assert (len(products), len(constructions)) == (32, 106)
+        assert max(products) <= 7
+
+
+REPORT_PEAK_SCRIPT = """
+import json, tracemalloc
+from fuzzychern.chern import reports_for
+peaks = []
+for N in (1000, 10000):
+    tracemalloc.start()
+    reports_for(N)
+    peaks.append(tracemalloc.get_traced_memory()[1] / N)
+    tracemalloc.stop()
+print(json.dumps(peaks))
+"""
+
+
+def test_report_bytes_per_n_covers_the_peak_of_a_fresh_process():
+    # fuzzy, sweep and verify refuse N by REPORT_BYTES_PER_N. A fresh process,
+    # as the CLI runs, also pays for numpy.ma, which np.unique loads on first
+    # use: about 1.1 MB, so 2981 B per N at N = 1e3, and 1874 B at 1e4
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", REPORT_PEAK_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    peaks = json.loads(proc.stdout)
+    assert max(peaks) <= REPORT_BYTES_PER_N, peaks
 
 
 @pytest.mark.parametrize("sign", [1, -1])

@@ -303,17 +303,20 @@ def test_verify_memory_estimate_refuses_before_any_suite(capsys, monkeypatch):
     assert "physical memory" in err
 
 
-def test_oracle_quadrature_memory_estimate_refuses_before_allocating(capsys, monkeypatch):
-    # leggauss eigen-solves an n_polar^2 companion matrix: 160 GB at n_polar = 1e5,
-    # while the oracle's node arrays of this grid take 125 MB
-    def never(*args, **kwargs):
-        raise AssertionError("the quadrature was built")
+def test_oracle_memory_estimate_admits_a_grid_whose_nodes_fit(monkeypatch):
+    # the Gauss-Legendre nodes take O(n_polar) memory, so 100000x4 needs about
+    # NODE_BYTES x 4e5 = 64 MB and reaches the quadrature; the estimate once held
+    # leggauss's 16 B x n_polar^2 companion matrix and refused it at 160 GB
+    class Reached(Exception):
+        pass
 
-    monkeypatch.setattr(cli, "build_quadrature", never)
-    code, out, err = run(capsys, "commutative", "--grid", "100000x4")
-    assert code == 2
-    assert_one_error_line(out, err)
-    assert "physical memory" in err
+    def reached(*args):
+        raise Reached(*args)
+
+    monkeypatch.setattr(cli, "build_quadrature", reached)
+    with pytest.raises(Reached) as exc:
+        main(["commutative", "--grid", "100000x4"])
+    assert exc.value.args == (100000, 4)
 
 
 def test_invariant_failure_exits_1_with_one_line(capsys, monkeypatch):
@@ -492,6 +495,30 @@ def test_oracle_and_banded_output_do_not_depend_on_the_blas_kernel():
     assert outputs[0][1:3] == (GOLDEN / "commutative_4_transpose.csv").read_text().splitlines()
     assert outputs[0][3].startswith("N,sign,") and outputs[0][4].startswith("75,plus,")
     assert all(out == outputs[0] for out in outputs)
+
+
+LAZY_IMPORTS_SCRIPT = """
+import contextlib, io, json, sys
+from fuzzychern.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in (['verify', '--max-N', '8'], ['commutative', '--k', '3'],
+                                     ['fuzzy', '--N', '64'], ['sweep', '--from', '2', '--to', '4'])]
+print(json.dumps([codes, sorted(name for name in sys.modules
+                                if name.split('.')[:2] in (['numpy', 'random'], ['numpy', 'polynomial']))]))
+"""
+
+
+def test_no_command_loads_numpy_random_or_numpy_polynomial():
+    # numpy loads both lazily: numpy.random costs about 6 MB of resident memory,
+    # numpy.polynomial 0.75 MB, and no command needs either; a child process,
+    # because the tests themselves draw from numpy.random
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", LAZY_IMPORTS_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0, 0, 0], []]
 
 
 def test_golden_files_are_exactly_the_cases():
