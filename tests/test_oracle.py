@@ -114,8 +114,8 @@ def test_volume_normalization():
 
 
 def test_nodes_match_leggauss():
-    # leggauss eigen-solves the n x n companion matrix; its weights are
-    # themselves 2e-15 to 6e-14 from the exact ones at n = 64 to 1000
+    # leggauss eigen-solves the n x n companion matrix; its own weights are up
+    # to 6e-14 from the exact ones at n <= 1000
     for n in list(range(2, 129)) + [200, 1000]:
         u, w = sphere_oracle._gauss_legendre(n)
         ref_u, ref_w = leggauss(n)
@@ -156,7 +156,7 @@ def test_nodes_and_weights_are_within_rounding_of_the_exact_rule(n):
 
 
 def test_nodes_take_linear_memory():
-    # leggauss traced 8.8 MB at n_polar = 1000 and 72.9 MB at 3000; the Newton
+    # leggauss traced 8.1 MB at n_polar = 1000 and 72 MB at 3000; the Newton
     # nodes measured 45.0 and 44.2 B per n_polar at 1000 and 4000, grid included
     build_quadrature(4, 4)
     for n_polar in (1000, 4000):
