@@ -6,9 +6,9 @@ charges +-1 and +-k. The projector is |psi><psi| with psi = (cos theta/2,
 e^{i phi} sin theta/2); its transpose projects onto conj(psi), its k-th power
 onto psi^{(x)k}. The Berry curvature of psi^{(x)k} needs only inner products,
 and <a (x) b|c (x) d> = <a|c><b|d>, so the product rule runs on four of them
-per node: O(k) time and O(1) memory per node. Gauss-Legendre nodes in
-cos(theta) crossed with a uniform trapezoidal rule in phi; chart derivatives
-are analytic.
+per node: O(k) time and O(1) memory per node, in blocks of at most
+BLOCK_NODES nodes. Gauss-Legendre nodes in cos(theta) crossed with a uniform
+trapezoidal rule in phi; chart derivatives are analytic.
 """
 
 from dataclasses import dataclass, field
@@ -18,6 +18,7 @@ import numpy as np
 from .invariants import require
 
 __all__ = [
+    "BLOCK_NODES",
     "MAX_TENSOR_POWER",
     "NODE_BYTES",
     "QuadratureGrid",
@@ -30,8 +31,10 @@ __all__ = [
 MAX_TENSOR_POWER = 12
 
 # chern_number_commutative's peak bytes per node at any k, grid built in the
-# trace (tracemalloc on 5e5 nodes: 160.0 at k = 4 and 12, 128.1 at k = 1)
-NODE_BYTES = 161
+# trace (tracemalloc on 100x1000: 17.6 at every k; 16 B of it the weighted densities)
+NODE_BYTES = 18
+
+BLOCK_NODES = 1536  # nodes per product-rule block; its nine arrays at k >= 3 take 216 KiB
 
 
 @dataclass(frozen=True)
@@ -99,11 +102,16 @@ def _projectors_and_derivatives(k, transpose, theta, phi):
         gss, gts, gsp, gtp = gss.conj(), gts.conj(), gsp.conj(), gtp.conj()
     ss, ts, sp, tp = gss, gts, gsp, gtp
     # d(psi_k (x) psi) = d psi_k (x) psi + psi_k (x) d psi, contracted term by
-    # term with <a (x) b|c (x) d> = <a|c><b|d>
+    # term with <a (x) b|c (x) d> = <a|c><b|d>, each sum accumulated in place
     for _ in range(k - 1):
-        tp = tp * gss + ts * gsp + sp * gts + ss * gtp
-        ts = ts * gss + ss * gts
-        sp = sp * gss + ss * gsp
+        tp = tp * gss
+        tp += ts * gsp
+        tp += sp * gts
+        tp += ss * gtp
+        ts = ts * gss
+        ts += ss * gts
+        sp = sp * gss
+        sp += ss * gsp
         ss = ss * gss
     return ss, ts, sp, tp
 
@@ -120,12 +128,18 @@ def curvature_densities(k, transpose, theta, phi):
 
 def chern_number_commutative(k, transpose, grid):
     """(1/2 pi i) integral of the curvature of p_k over the sphere."""
-    # trig runs once per polar row and per azimuth, the product rule once per node
-    theta = grid.polar_angles[:, None]
-    dens = curvature_densities(k, transpose, theta, grid.azimuths[None, :])
-    # density vanishes like sin(theta) at the poles; Gauss nodes are interior,
-    # with sin(theta) > 1.6 / n_polar (2.4e-3 at n_polar = 1000)
-    total = grid.integrate(dens / np.sin(theta)) / (2.0j * np.pi)
+    # blocks of whole polar rows, or of part of one row when n_azimuthal > BLOCK_NODES
+    theta, vals = grid.polar_angles[:, None], np.empty((grid.n_polar, grid.n_azimuthal), complex)
+    rows, cols = max(1, BLOCK_NODES // grid.n_azimuthal), min(grid.n_azimuthal, BLOCK_NODES)
+    for i in range(0, grid.n_polar, rows):
+        t = theta[i:i + rows]
+        for j in range(0, grid.n_azimuthal, cols):
+            # density vanishes like sin(theta) at the poles; Gauss nodes are
+            # interior, with sin(theta) > 1.6 / n_polar (2.4e-3 at n_polar = 1000)
+            block = np.divide(curvature_densities(k, transpose, t, grid.azimuths[None, j:j + cols]),
+                              np.sin(t), out=vals[i:i + rows, j:j + cols])
+            block *= grid.polar_weights[i:i + rows, None] * (2.0 * np.pi / grid.n_azimuthal)
+    total = np.sum(vals.ravel()) / (2.0j * np.pi)  # integrate's products and sum, in place
     require("quadrature-imag", abs(total.imag))
     return float(total.real)
 

@@ -187,7 +187,8 @@ def per_node_volume(grid):
     return float(np.sum(weights * np.full(len(weights), 1.0 / (4.0 * np.pi))))
 
 
-IDENTITY_GRIDS = ((64, 128), (33, 70), (4, 8))
+# 33x70 ends in a short block of rows; 3x5000 splits each row into blocks
+IDENTITY_GRIDS = ((64, 128), (33, 70), (4, 8), (3, 5000))
 
 
 def factor_path_mismatches(grids=IDENTITY_GRIDS):

@@ -278,8 +278,8 @@ def test_memory_estimate_refuses_before_allocating(capsys, monkeypatch, argv):
 
 
 def test_oracle_memory_estimate_refuses_before_allocating(capsys, monkeypatch):
-    # the oracle's memory is a fixed number of bytes per node: about 186 B on
-    # each of 4e11 nodes is over 70 TB
+    # the oracle's memory is a fixed number of bytes per node: NODE_BYTES (18 B)
+    # on each of 4e11 nodes is over 7 TB
     def never(*args, **kwargs):
         raise AssertionError("the oracle was started")
 
@@ -305,7 +305,7 @@ def test_verify_memory_estimate_refuses_before_any_suite(capsys, monkeypatch):
 
 def test_oracle_memory_estimate_admits_a_grid_whose_nodes_fit(monkeypatch):
     # the Gauss-Legendre nodes take O(n_polar) memory, so 100000x4 needs about
-    # NODE_BYTES x 4e5 = 64 MB and reaches the quadrature; the estimate once held
+    # NODE_BYTES x 4e5 = 7 MB and reaches the quadrature; the estimate once held
     # leggauss's 16 B x n_polar^2 companion matrix and refused it at 160 GB
     class Reached(Exception):
         pass

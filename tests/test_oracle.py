@@ -290,6 +290,50 @@ def test_node_bytes_covers_the_peak_of_a_call():
                 assert peak >= 0.95 * sphere_oracle.NODE_BYTES * 100 * 1000
 
 
+@pytest.mark.parametrize("n_polar, n_azimuthal", [(64, 128), (33, 70), (2, 1536), (3, 5000)])
+def test_blocks_cover_every_node_once_within_block_nodes(monkeypatch, n_polar, n_azimuthal):
+    g = build_quadrature(n_polar, n_azimuthal)
+    expected = chern_number_commutative(4, True, g)
+    sizes, densities = [], sphere_oracle.curvature_densities
+
+    def recording(k, transpose, theta, phi):
+        sizes.append(theta.size * phi.size)
+        return densities(k, transpose, theta, phi)
+
+    monkeypatch.setattr(sphere_oracle, "curvature_densities", recording)
+    assert chern_number_commutative(4, True, g) == expected
+    assert max(sizes) <= sphere_oracle.BLOCK_NODES
+    assert sum(sizes) == n_polar * n_azimuthal
+
+
+FAULTS_SCRIPT = """
+import json, resource
+from fuzzychern.sphere_oracle import build_quadrature, chern_number_commutative
+grid = build_quadrature(64, 128)
+for _ in range(20):
+    chern_number_commutative(4, False, grid)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(200):
+    chern_number_commutative(4, False, grid)
+print(json.dumps((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 200))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="counts glibc's heap trimming")
+def test_repeated_charges_do_not_fault_their_memory_back_in():
+    # glibc gives the free top of its heap back to the OS beyond a threshold
+    # and keeps a 128 KiB pad, so a call faults in at most what it needs beyond
+    # the pad: on the whole 64x128 grid, a dozen 128 KiB temporaries, 320-416
+    # faults per call; in blocks, nine 24 KiB temporaries, 54 faults at most
+    root = Path(__file__).parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", FAULTS_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) < 64
+
+
 @pytest.mark.parametrize("n_polar, n_azimuthal, k",
                          [(16, 32, k) for k in range(1, 13)] + [(4, 8, k) for k in range(1, 9)])
 def test_integer_charges_up_to_max_tensor_power(n_polar, n_azimuthal, k):
