@@ -173,7 +173,7 @@ def kron(a, b):
     # block (s, t) of the product is a[s, t] b, at offset (t - s) N
     pairs = [(s, t) for s in range(r) for t in range(r) if a[s, t] != 0]
     targets = [(t - s) * N + b.offsets for s, t in pairs]
-    offsets = np.unique(np.concatenate(targets)) if pairs else b.offsets[:0]
+    offsets = np.array(sorted({o for target in targets for o in target.tolist()}), dtype=np.int64)
     data = np.zeros((len(offsets), r * N), dtype=np.complex128)
     for (s, t), target in zip(pairs, targets):
         data[np.searchsorted(offsets, target), s * N:(s + 1) * N] += a[s, t] * b.data
@@ -210,8 +210,9 @@ def hs_inner(a, b):
     if isinstance(a, Banded) or isinstance(b, Banded):
         if not (isinstance(a, Banded) and isinstance(b, Banded)):
             raise TypeError("hs_inner needs two dense or two Banded matrices")
-        _, i, j = np.intersect1d(a.offsets, b.offsets, return_indices=True)
-        a, b = a.data[i], b.data[j]
+        # both offsets are sorted, so the common diagonals come in the same order
+        common = set(a.offsets.tolist()) & set(b.offsets.tolist())
+        a, b = (m.data[[o in common for o in m.offsets.tolist()]] for m in (a, b))
     return complex(np.sum(np.conj(a) * b))
 
 

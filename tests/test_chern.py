@@ -299,9 +299,9 @@ print(json.dumps(peaks))
 
 
 def test_report_bytes_per_n_covers_the_peak_of_a_fresh_process():
-    # fuzzy, sweep and verify refuse N by REPORT_BYTES_PER_N. A fresh process,
-    # as the CLI runs, also pays for numpy.ma, which np.unique loads on first
-    # use: about 1.1 MB, so 2981 B per N at N = 1e3, and 1874 B at 1e4
+    # fuzzy, sweep and verify refuse N by REPORT_BYTES_PER_N, measured in a fresh
+    # process as the CLI runs: 1894 B per N at N = 1e3 and 1874 B at 1e4 (2994 B
+    # at 1e3 while kron's np.unique loaded numpy.ma, 1.1 MB, on first use)
     src = str(Path(__file__).parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

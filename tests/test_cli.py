@@ -503,15 +503,15 @@ from fuzzychern.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in (['verify', '--max-N', '8'], ['commutative', '--k', '3'],
                                      ['fuzzy', '--N', '64'], ['sweep', '--from', '2', '--to', '4'])]
-lazy = [['numpy', 'random'], ['numpy', 'polynomial']]
+lazy = [['numpy', 'random'], ['numpy', 'polynomial'], ['numpy', 'ma']]
 print(json.dumps([codes, sorted(name for name in sys.modules if name.split('.')[:2] in lazy)]))
 """
 
 
 def test_no_command_loads_numpy_random_or_numpy_polynomial():
-    # numpy loads both lazily: numpy.random costs about 6 MB of resident memory,
-    # numpy.polynomial 0.75 MB, and no command needs either; a child process,
-    # because the tests themselves draw from numpy.random
+    # numpy loads these lazily: numpy.random costs about 6 MB of resident memory,
+    # numpy.polynomial 0.75 MB and numpy.ma (np.unique's first call) 1.3 MB, and
+    # no command needs one; a child process, because the tests draw from numpy.random
     src = str(Path(__file__).parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

@@ -260,6 +260,7 @@ def test_banded_drops_zero_diagonals():
 
 
 @pytest.mark.parametrize("small", [
+    np.zeros((2, 2)),
     np.eye(2),
     np.array([[0, 1], [1, 0]]),
     np.array([[0, -1j], [1j, 0]]),
