@@ -136,12 +136,12 @@ def _verify_suites(max_n):
 
     # linalg
     a, b, c = rand(8), rand(8), rand(3)
-    tr_ab = np.trace(a @ b)
-    # the 192x192 products are not kept alive while the later suites run
+    tr_ab, abc = np.trace(a @ b), kron(kron(a, b), c)
     yield "linalg-core", [
         check("linalg-trace", abs(tr_ab - np.trace(b @ a)) / abs(tr_ab), "8x8 a, b"),
-        check("linalg-kron", frobenius_norm(kron(kron(a, b), c) - kron(a, kron(b, c)))
-              / frobenius_norm(kron(kron(a, b), c)), "8x8 a, b, 3x3 c")]
+        check("linalg-kron", frobenius_norm(abc - kron(a, kron(b, c))) / frobenius_norm(abc),
+              "8x8 a, b, 3x3 c")]
+    del abc  # the 192x192 product is not kept alive while the later suites run
 
     # su2 / coordinates, and the covariance max_b |[p, L_b]| / (N/2) of the
     # projector p = alpha + beta sigma.X on them, L_b = S_b (x) 1 + 1 (x) X_b / kappa:
@@ -168,15 +168,15 @@ def _verify_suites(max_n):
     for N in (2, 3, 4, 8):
         coords, at = fuzzy_coordinates(SpinLabel.from_dimension(N)), "N=%d" % N
         for _ in range(5):
-            f = rand(N)
-            residuals = [d1(coords, d0(coords, f)).max_entry() / frobenius_norm(f)]
-            g = rand(N)
-            leib = d0(coords, f @ g) - (wedge(d0(coords, f), scalar_form(g))
+            f, g = rand(N), rand(N)
+            df = d0(coords, f)
+            residuals = [d1(coords, df).max_entry() / frobenius_norm(f)]
+            leib = d0(coords, f @ g) - (wedge(df, scalar_form(g))
                                         + wedge(scalar_form(f), d0(coords, g)))
             residuals.append(leib.max_entry())
+            e = df.components  # e_a(f) for a = 1, 2, 3
             for a, b, c, s in EPS_ROWS:
-                br = derive(coords, a, derive(coords, b, f)) \
-                    - derive(coords, b, derive(coords, a, f)) - 1j * s * derive(coords, c, f)
+                br = derive(coords, a, e[b - 1]) - derive(coords, b, e[a - 1]) - 1j * s * e[c - 1]
                 residuals.append(np.max(np.abs(br)))
             calculus += [check("diff-calculus", r, at) for r in residuals]
     yield "diff-calculus", calculus
