@@ -34,7 +34,7 @@ MAX_TENSOR_POWER = 12
 # trace (tracemalloc on 100x1000: 17.6 at every k; 16 B of it the weighted densities)
 NODE_BYTES = 18
 
-BLOCK_NODES = 1536  # nodes per product-rule block; its nine arrays at k >= 3 take 216 KiB
+BLOCK_NODES = 1536  # a block's nine arrays at k >= 3 take 216 KiB, under 64 heap pages
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ def chern_number_commutative(k, transpose, grid):
             block = np.divide(curvature_densities(k, transpose, t, grid.azimuths[None, j:j + cols]),
                               np.sin(t), out=vals[i:i + rows, j:j + cols])
             block *= grid.polar_weights[i:i + rows, None] * (2.0 * np.pi / grid.n_azimuthal)
-    total = np.sum(vals.ravel()) / (2.0j * np.pi)  # integrate's products and sum, in place
+    total = np.sum(vals.ravel()) / (2.0j * np.pi)  # grid.integrate's sum, products in place
     require("quadrature-imag", abs(total.imag))
     return float(total.real)
 

@@ -260,11 +260,11 @@ def test_banded_drops_zero_diagonals():
 
 
 @pytest.mark.parametrize("small", [
-    np.zeros((2, 2)),
     np.eye(2),
     np.array([[0, 1], [1, 0]]),
     np.array([[0, -1j], [1j, 0]]),
     np.array([[1.5, 0, 2j], [0, 0, 1], [-1, 3, 0]]),
+    np.zeros((2, 2)),
 ])
 def test_banded_kron_with_dense_factor(small):
     b = random_banded(5, (-1, 0, 1, 3))
