@@ -3,41 +3,31 @@
 The charge pipeline: curvature two-form F of the fuzzy projector, least
 squares extraction of its scalar coefficient against the volume form omega,
 then c_1 = lambda / (2 pi i). The closed form gamma_pm(N) is computed
-independently for comparison. ``reports_for`` builds the coordinates and
-omega once per N and reports each sign, on dense matrices up to DENSE_MAX_N
-and on ``Banded`` ones above it.
+independently for comparison. ``reports_for`` builds the coordinates,
+omega, sigma.X and dQ ^ dQ once per N and reports each sign, on dense
+matrices up to DENSE_MAX_N and on ``Banded`` ones above it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bundles import build_fuzzy_projector, chern_character_form
-from .calculus import EPS_ROWS, GradedForm
+from .bundles import build_fuzzy_projector, curvature, dq_wedge_dq, sigma_dot_x
+from .calculus import EPS_ROWS, GradedForm, module_trace
 from .invariants import require
 from .linalg import ShapeError, hs_inner
 from .su2 import SpinLabel, fuzzy_coordinates
 
-__all__ = [
-    "DENSE_MAX_N",
-    "REPORT_BYTES_PER_N",
-    "DegenerateVolumeError",
-    "ChernReport",
-    "volume_form",
-    "extract_coefficient",
-    "gamma_formula",
-    "chern_number",
-    "reports_for",
-    "report_for",
-    "sweep",
-]
+__all__ = ["DENSE_MAX_N", "REPORT_BYTES_PER_N", "DegenerateVolumeError", "ChernReport",
+           "volume_form", "extract_coefficient", "gamma_formula", "chern_number", "reports_for",
+           "report_for", "sweep"]
 
-# report_for stays dense up to this N: the banded pipeline's ~2.5 ms per-report
-# overhead drops below the dense O(N^3) cost near N = 36 (2 OpenBLAS threads),
-# and 45 keeps the last digits of every report for N in 37..45.
+# report_for stays dense up to this N: both signs' banded reports (~1.6 ms at N <= 45) beat the
+# dense O(N^3) ones from N = 36 (2 BLAS threads), and 45 keeps every report's digits for N <= 45.
 DENSE_MAX_N = 45
 
-# a banded fuzzy --N run's RSS grows ~2.2 KB per N (73 MB at N = 2e4, 250 MB at 1e5)
+# a fresh reports_for(N) peaks at 1750 B per N traced at N = 1e3 (1730 at 1e4), and
+# a banded fuzzy --N run's RSS grows ~1.7 KB per N (65 MB at N = 2e4, 204 MB at 1e5)
 REPORT_BYTES_PER_N = 3000
 
 
@@ -88,9 +78,7 @@ def extract_coefficient(F, omega):
         raise ShapeError("extract_coefficient needs scalar-valued forms")
     if F.algebra_dim != omega.algebra_dim:
         raise ShapeError("algebra dimensions differ")
-    denom = sum(
-        hs_inner(w, w).real for w in omega.components
-    )
+    denom = sum(hs_inner(w, w).real for w in omega.components)
     if denom == 0.0:
         raise DegenerateVolumeError("volume form is zero")
     num = sum(hs_inner(w, f) for w, f in zip(omega.components, F.components))
@@ -113,12 +101,13 @@ def gamma_formula(N, sign):
     return (1.0 - 1.0 / N**2) ** 1.5 * (N + s * (N**2 - 2)) / (N**2 - 3)
 
 
-def chern_number(projector, coords, omega):
+def chern_number(projector, coords, omega, w=None):
     """Full charge report for a fuzzy projector built on ``coords``, whose
-    volume form is ``omega``."""
+    volume form is ``omega`` and whose W = dQ ^ dQ is ``w`` (see
+    ``bundles.curvature``)."""
     if coords.spin != projector.spin:
         raise ValueError("coordinate spin does not match projector spin")
-    F = chern_character_form(coords, projector)
+    F = module_trace(curvature(coords, projector, w))  # the degree-2 Chern character
     lam, residual = extract_coefficient(F, omega)
     at = "N=%d sign=%+d" % (projector.N, projector.sign)
     require("curvature", residual, at)
@@ -140,11 +129,12 @@ def chern_number(projector, coords, omega):
 
 
 def reports_for(N, signs=(1, -1)):
-    """Reports for each sign at one N, sharing the coordinates and the volume
-    form; on banded operators when N > DENSE_MAX_N."""
+    """Reports for each sign at one N, sharing the coordinates, the volume
+    form, sigma.X and dQ ^ dQ; on banded operators when N > DENSE_MAX_N."""
     coords = fuzzy_coordinates(SpinLabel.from_dimension(N), banded=N > DENSE_MAX_N)
-    omega = volume_form(coords)
-    return [chern_number(build_fuzzy_projector(coords, s), coords, omega) for s in signs]
+    omega, q, w = volume_form(coords), sigma_dot_x(coords), dq_wedge_dq(coords)
+    return [chern_number(build_fuzzy_projector(coords, s, sigma_x=q), coords, omega, w)
+            for s in signs]
 
 
 def report_for(N, sign):

@@ -13,7 +13,7 @@ from itertools import chain
 
 import numpy as np
 
-from .bundles import PAULI, projector_coefficients
+from .bundles import PAULI, projector_coefficients, sigma_dot_x
 from .calculus import EPS_ROWS, d0, d1, derive, scalar_form, wedge
 from .chern import DENSE_MAX_N, REPORT_BYTES_PER_N, gamma_formula, reports_for, sweep
 from .invariants import InvariantError, check, worst
@@ -156,7 +156,7 @@ def _verify_suites(max_n):
                      for a, b, c, s in EPS_ROWS] + [abs(normalized_trace(x)) for x in xs]
         residuals.append(max_abs(xs[0] @ xs[0] + xs[1] @ xs[1] + xs[2] @ xs[2] - one))
         su2 += [check("su2-repr", r, at) for r in residuals]
-        sigma_x = kron(PAULI[0], xs[0]) + kron(PAULI[1], xs[1]) + kron(PAULI[2], xs[2])
+        sigma_x = sigma_dot_x(coords)
         beta = abs(projector_coefficients(kap, 1)[1])
         for s, x in zip(PAULI, xs):
             commuted = commutator(sigma_x, kron(s / 2, one) + kron(np.eye(2), x / kap))

@@ -34,8 +34,9 @@ class Banded:
     diagonal at ``offsets[k]``, aligned by row: ``data[k, i] = A[i, i + o]``.
     Entries whose column falls outside the matrix are zero, so products and
     sums need no masking. Diagonals that come out exactly zero are dropped:
-    products, sums, scalar multiples, ``kron`` and the partial trace scan for
-    them, while negation, ``/``, ``conj`` and ``.T`` keep their operand's.
+    products, sums, multiples by zero, ``kron`` and the partial trace scan for
+    them, while negation, multiples by a nonzero scalar, ``/``, ``conj`` and
+    ``.T`` keep their operand's (a product that underflows to zero stays).
     Scalars combine with ``*`` and ``/``; other matrices must be ``Banded``.
     Traces, inner products, norms, ``kron`` and the module partial trace are
     the functions of this module, which take dense and banded operands.
@@ -46,8 +47,8 @@ class Banded:
     def __init__(self, offsets, data):
         offsets = np.asarray(offsets, dtype=np.int64)
         data = np.asarray(data, dtype=np.complex128)
-        keep = data.any(axis=1)
-        if not keep.all():
+        keep = np.logical_or.reduce(data, axis=1)  # ufuncs: no numpy._methods wrapper
+        if not np.logical_and.reduce(keep):
             offsets, data = offsets[keep], data[keep]
         self.offsets, self.data, self.shape = offsets, data, (data.shape[1],) * 2
 
@@ -99,7 +100,7 @@ class Banded:
     def __mul__(self, c):
         if isinstance(c, Banded) or np.ndim(c) != 0:
             return NotImplemented
-        return Banded(self.offsets, c * self.data)
+        return (Banded._nonzero if c != 0 else Banded)(self.offsets, c * self.data)
 
     __rmul__ = __mul__
 
@@ -121,8 +122,10 @@ class Banded:
         data = np.zeros((len(offsets), n), dtype=np.complex128)
         for a, b, row, col in pairs:
             # the rows i where both column i + a and column i + a + b exist
-            lo, hi = max(0, -a, -a - b), n - max(0, a, a + b)
-            data[target[a + b], lo:hi] += row[lo:hi] * col[lo + a:hi + a]
+            low, high = (a, a + b) if b > 0 else (a + b, a)
+            lo, hi = -low if low < 0 else 0, n - high if high > 0 else n
+            dst = data[target[a + b], lo:hi]  # a view: add in place, no write-back
+            np.add(dst, row[lo:hi] * col[lo + a:hi + a], out=dst)
         return Banded(offsets, data)
 
     def conj(self):

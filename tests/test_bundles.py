@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
-from fuzzychern.bundles import build_fuzzy_projector, curvature, projector_coefficients
+from fuzzychern.bundles import (
+    PAULI,
+    build_fuzzy_projector,
+    curvature,
+    dq,
+    dq_wedge_dq,
+    projector_coefficients,
+    sigma_dot_x,
+)
 from fuzzychern.calculus import scalar_form, wedge
+from fuzzychern.linalg import Banded, commutator, identity_like, kron
 from fuzzychern.su2 import SpinLabel, fuzzy_coordinates
 import curvature_reference as reference
 from banded_reference import toarray
@@ -116,6 +125,40 @@ def test_curvature_of_projector_equals_curvature_of_its_matrix(banded):
             from_proj = curvature(coords, proj)
             from_matrix = reference.curvature(coords, proj.realization)
             assert (from_proj - from_matrix).max_entry() <= 2e-16 * N
+
+
+def same_matrix(a, b):
+    """Equal bit for bit; banded, also in the stored diagonals."""
+    if isinstance(a, Banded) or isinstance(b, Banded):
+        return (isinstance(a, Banded) and isinstance(b, Banded)
+                and np.array_equal(a.offsets, b.offsets) and np.array_equal(a.data, b.data))
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("banded", [False, True])
+def test_shared_curvature_matches_the_per_sign_spin_factor_form(banded):
+    # beta^2 p (dQ ^ dQ) against p (dp ^ dp) with dp_b = [p, S_b (x) 1]: measured
+    # at most 2.2e-16, flat in N up to 1000, so no factor of N in the bound
+    for N in (2, 3, 8, 46) + ((257, 1000) if banded else ()):
+        coords = fuzzy_coordinates(SpinLabel.from_dimension(N), banded=banded)
+        w = dq_wedge_dq(coords)
+        for sign in (1, -1):
+            proj = build_fuzzy_projector(coords, sign)
+            shared = curvature(coords, proj, w)
+            assert (shared - reference.spin_factor_curvature(coords, proj)).max_entry() <= 4e-16
+            built_inside = curvature(coords, proj).components
+            assert all(same_matrix(a, b) for a, b in zip(shared.components, built_inside))
+
+
+@pytest.mark.parametrize("N", list(range(2, 60)) + [256, 1000])
+def test_dq_from_kron_equals_the_commutator_with_the_spin_factor(N):
+    # dQ_b = i eps_abc sigma_c (x) X_a is [Q, S_b (x) 1] bit for bit, dense and banded
+    for banded in (False, True) if N < 60 else (True,):
+        coords = fuzzy_coordinates(SpinLabel.from_dimension(N), banded=banded)
+        q = sigma_dot_x(coords)
+        one = identity_like(q, N)
+        for d, s in zip(dq(coords).components, PAULI):
+            assert same_matrix(d, commutator(q, kron(s / 2, one)))
 
 
 def test_bott_projector_north_pole():

@@ -263,7 +263,10 @@ def test_a_report_makes_the_same_banded_operations_at_every_n(monkeypatch):
     # a product costs O(diagonals x N), so a fixed count of products on operands
     # of boundedly many diagonals is the O(N) claim; counted by wrapping the
     # class's methods, as bench/spans.py wraps functions. A change that moves a
-    # count updates the pin
+    # count updates the pin. Both signs share sigma.X and dQ ^ dQ (6 products),
+    # and each sign adds p p and p (dQ ^ dQ) (1 + 3): 14 products for both signs
+    # and 10 for one, where each sign made all 16 before. Multiples by a nonzero
+    # scalar skip the zero scan, so they are not constructions
     products, constructions = [], []
     matmul, init = Banded.__matmul__, Banded.__init__
 
@@ -278,11 +281,12 @@ def test_a_report_makes_the_same_banded_operations_at_every_n(monkeypatch):
     monkeypatch.setattr(Banded, "__matmul__", counted_matmul)
     monkeypatch.setattr(Banded, "__init__", counted_init)
     for N in (64, 1000, 10000):
-        products.clear()
-        constructions.clear()
-        reports_for(N)
-        assert (len(products), len(constructions)) == (32, 106)
-        assert max(products) <= 7
+        for signs, pin in (((1, -1), (14, 55)), ((1,), (10, 41)), ((-1,), (10, 41))):
+            products.clear()
+            constructions.clear()
+            reports_for(N, signs)
+            assert (len(products), len(constructions)) == pin
+            assert max(products) <= 7
 
 
 REPORT_PEAK_SCRIPT = """
@@ -300,8 +304,9 @@ print(json.dumps(peaks))
 
 def test_report_bytes_per_n_covers_the_peak_of_a_fresh_process():
     # fuzzy, sweep and verify refuse N by REPORT_BYTES_PER_N, measured in a fresh
-    # process as the CLI runs: 1894 B per N at N = 1e3 and 1874 B at 1e4 (2994 B
-    # at 1e3 while kron's np.unique loaded numpy.ma, 1.1 MB, on first use)
+    # process as the CLI runs: 1750 B per N at N = 1e3 and 1730 B at 1e4 since both
+    # signs share dQ ^ dQ (1894 and 1874 B before; 2994 B at 1e3 while kron's
+    # np.unique loaded numpy.ma, 1.1 MB, on first use)
     src = str(Path(__file__).parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

@@ -364,11 +364,13 @@ def test_each_invariant_error_exits_1(capsys, monkeypatch, stage):
 def test_verify_builds_each_projector_and_volume_form_once(capsys, count_calls):
     projectors = count_calls(bundles, "build_fuzzy_projector")
     forms = count_calls(chern, "volume_form")
+    shared = count_calls(bundles, "dq_wedge_dq")
     code, _, _ = run(capsys, "verify", "--max-N", "8")
     assert code == 0
     built = Counter((coords.N, sign) for coords, sign in projectors)
     assert built == Counter({(N, s): 1 for N in range(2, 9) for s in (1, -1)})
     assert sorted(coords.N for (coords,) in forms) == list(range(2, 9))
+    assert sorted(coords.N for (coords,) in shared) == list(range(2, 9))  # W, once per N
 
 
 def test_verify_above_32_builds_a_doubling_ladder(capsys, count_calls):
@@ -407,6 +409,11 @@ def test_verify_above_32_builds_a_doubling_ladder(capsys, count_calls):
 # instead of numpy.random: its s2-oracle residual fell from 4.441e-16 to
 # 2.220e-16, because the k = 2 charge on 64x128 became exactly 2 again, its
 # diff-calculus residual from 1.750e-14 to 6.350e-15 on the new inputs, and
+# the commutative files stayed byte-identical. The sweep, fuzzy and verify
+# files were recaptured when both signs of an N came to share dQ ^ dQ, with
+# F = beta^2 p (dQ ^ dQ) instead of p (dp ^ dp), dp_b = [p, S_b (x) 1]: only
+# the abs_error and residual columns moved, and verify_8's chern-integration
+# residual (1.933e-15 to 1.812e-15); no printed c1, ch0 or gamma moved, and
 # the commutative files stayed byte-identical
 GOLDEN_CASES = [
     (("sweep", "--from", "2", "--to", "12"), "sweep_2_12.table"),

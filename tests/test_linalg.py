@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fuzzychern.bundles import build_fuzzy_projector, chern_character_form
+from fuzzychern.bundles import build_fuzzy_projector, curvature
+from fuzzychern.calculus import module_trace
 from fuzzychern.chern import volume_form
 from fuzzychern.linalg import (
     Banded,
@@ -234,6 +235,15 @@ def test_banded_scaling_by_zero_drops_every_diagonal():
         assert len(zero.offsets) == 0 and zero.shape == (6, 6)
 
 
+def test_banded_scaling_by_a_nonzero_scalar_keeps_every_diagonal():
+    # no zero scan: a nonzero multiple of a nonzero diagonal is nonzero, short
+    # of underflow, and an underflowed diagonal stays stored as zeros
+    a = random_banded(6, (-1, 0, 2))
+    for scaled in (2.5j * a, a * -1e-3, 1e-300 * (a * 1e-300)):
+        assert list(scaled.offsets) == [-1, 0, 2]
+    assert max_abs(1e-300 * (a * 1e-300)) == 0.0
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 def test_banded_diagonal_counts_stay_bounded_at_n_1000(sign):
     # products and sums in the pipeline cancel whole diagonals; without the
@@ -241,7 +251,7 @@ def test_banded_diagonal_counts_stay_bounded_at_n_1000(sign):
     coords = fuzzy_coordinates(SpinLabel.from_dimension(1000), banded=True)
     p = build_fuzzy_projector(coords, sign)
     assert list(p.realization.offsets) == [-999, 0, 999]
-    assert all(len(f.offsets) <= 6 for f in chern_character_form(coords, p).components)
+    assert all(len(f.offsets) <= 6 for f in module_trace(curvature(coords, p)).components)
     assert all(len(w.offsets) in (1, 2) for w in volume_form(coords).components)
 
 
