@@ -26,8 +26,6 @@ PAULI = (
 def projector_coefficients(kappa, sign):
     """(alpha, beta) of the nontrivial idempotent alpha + beta sigma.X on the
     sign branch: beta = sign/sqrt(4 + kappa^2), alpha = (1 + beta kappa)/2."""
-    if kappa <= 0:
-        raise ValueError("kappa must be positive, got %g" % kappa)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1, got %r" % (sign,))
     beta = sign / np.sqrt(4.0 + kappa**2)

@@ -18,13 +18,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import ShapeError, as_matrix, commutator, frobenius_norm, max_abs, partial_trace
+from .linalg import as_matrix, commutator, frobenius_norm, max_abs, partial_trace
 
 __all__ = [
     "BASIS",
     "N_COMPONENTS",
     "EPS_ROWS",
-    "DegreeError",
     "GradedForm",
     "derive",
     "d0",
@@ -58,10 +57,6 @@ _PRODUCTS = {
 }
 
 
-class DegreeError(ValueError):
-    """Raised for form degrees outside 0..3 or products exceeding degree 3."""
-
-
 @dataclass(frozen=True)
 class GradedForm:
     degree: int
@@ -69,28 +64,11 @@ class GradedForm:
     algebra_dim: int
     components: tuple = field(repr=False)
 
-    def __post_init__(self):
-        if self.degree not in N_COMPONENTS:
-            raise DegreeError("degree must be in 0..3, got %d" % self.degree)
-        if len(self.components) != N_COMPONENTS[self.degree]:
-            raise DegreeError(
-                "degree %d needs %d components, got %d"
-                % (self.degree, N_COMPONENTS[self.degree], len(self.components))
-            )
-        dim = self.module_rank * self.algebra_dim
-        for c in self.components:
-            if c.shape != (dim, dim):
-                raise ShapeError(
-                    "component shape %s, expected (%d, %d)" % (c.shape, dim, dim)
-                )
-
     def __add__(self, other):
-        self._check_compatible(other)
         pairs = zip(self.components, other.components)
         return replace(self, components=tuple(a + b for a, b in pairs))
 
     def __sub__(self, other):
-        self._check_compatible(other)
         pairs = zip(self.components, other.components)
         return replace(self, components=tuple(a - b for a, b in pairs))
 
@@ -103,14 +81,6 @@ class GradedForm:
 
     def max_entry(self):
         return max(max_abs(c) for c in self.components)
-
-    def _check_compatible(self, other):
-        if (
-            self.degree != other.degree
-            or self.module_rank != other.module_rank
-            or self.algebra_dim != other.algebra_dim
-        ):
-            raise ShapeError("incompatible forms")
 
 
 def scalar_form(coeff, module_rank=1, algebra_dim=None):
@@ -137,8 +107,6 @@ def d1(coords, omega):
     (d omega)_{ab} = e_a(omega_b) - e_b(omega_a) - i eps_{abc} omega_c,
     the last term evaluating omega on the bracket [e_a, e_b] = i eps_abc e_c.
     """
-    if omega.degree != 1:
-        raise DegreeError("d1 needs a one-form, got degree %d" % omega.degree)
     w = omega.components
     return GradedForm(2, 1, coords.N, tuple(
         derive(coords, a, w[b - 1]) - derive(coords, b, w[a - 1]) - 1j * s * w[c - 1]
@@ -146,12 +114,9 @@ def d1(coords, omega):
 
 
 def wedge(alpha, beta):
-    """Wedge product; coefficients multiply left-to-right, thetas anticommute."""
-    if alpha.module_rank != beta.module_rank or alpha.algebra_dim != beta.algebra_dim:
-        raise ShapeError("wedge needs matching module rank and algebra dimension")
+    """Wedge product of forms of one module rank and algebra dimension, degrees
+    summing to at most 3; coefficients multiply left-to-right, thetas anticommute."""
     p, q = alpha.degree, beta.degree
-    if p + q > 3:
-        raise DegreeError("wedge degree overflow: %d + %d > 3" % (p, q))
     comps = [None] * N_COMPONENTS[p + q]
     for i, j, k, sign in _PRODUCTS[p, q]:
         term = alpha.components[i] @ beta.components[j]

@@ -22,7 +22,9 @@ BOUNDS = {
     "beta-kappa": 1e-13,  # |beta kappa - sign/N|, since sqrt(4 + kappa^2) = N kappa
     "curvature": 1e-8,  # |F - lambda omega| / |omega|
     "charge-imag": 1e-10,  # |imag c1| of a fuzzy charge
-    "quadrature-imag": 1e-9,  # |imag c1| of the oracle's quadrature
+    # |imag c1| of the oracle's quadrature: 0.0 exactly at k = 1..12, both orientations, on
+    # seven grids from 2x4 to 100x1000, since its density a - conj(a) has real part x - x = 0
+    "quadrature-imag": 1e-9,
     "su2-repr": 1e-12,
     "covariance": 1e-14,  # max_b |[p, L_b]| / (N/2), L_b = S_b (x) 1 + 1 (x) J_b
     "diff-calculus": 1e-11,

@@ -118,8 +118,6 @@ def _projectors_and_derivatives(k, transpose, theta, phi):
 
 def curvature_densities(k, transpose, theta, phi):
     """F_tp at each node, with tr p_k (dp_k)(dp_k) = F_tp dtheta ^ dphi."""
-    if not 1 <= k <= MAX_TENSOR_POWER:
-        raise ValueError("k must be in 1..%d, got %d" % (MAX_TENSOR_POWER, k))
     _, ts, sp, tp = _projectors_and_derivatives(k, transpose, theta, phi)
     # F_tp = a - conj(a), a = <dt psi|dp psi> - <dt psi|psi><psi|dp psi>
     a = tp - ts * sp
@@ -128,6 +126,8 @@ def curvature_densities(k, transpose, theta, phi):
 
 def chern_number_commutative(k, transpose, grid):
     """(1/2 pi i) integral of the curvature of p_k over the sphere."""
+    if not 1 <= k <= MAX_TENSOR_POWER:
+        raise ValueError("k must be in 1..%d, got %d" % (MAX_TENSOR_POWER, k))
     # blocks of whole polar rows, or of part of one row when n_azimuthal > BLOCK_NODES
     theta, vals = grid.polar_angles[:, None], np.empty((grid.n_polar, grid.n_azimuthal), complex)
     rows, cols = max(1, BLOCK_NODES // grid.n_azimuthal), min(grid.n_azimuthal, BLOCK_NODES)

@@ -8,14 +8,13 @@ theta^2^theta^3, and every sum runs in the order written, so the table-driven
 code must agree with it bit for bit.
 """
 
-from fuzzychern.calculus import DegreeError, GradedForm, derive
-from fuzzychern.linalg import ShapeError
+from fuzzychern.calculus import GradedForm, derive
 
 
 def d1(coords, omega):
     """(d omega)_{ab} = e_a(omega_b) - e_b(omega_a) - i eps_{abc} omega_c."""
     if omega.degree != 1:
-        raise DegreeError("d1 needs a one-form, got degree %d" % omega.degree)
+        raise ValueError("d1 needs a one-form, got degree %d" % omega.degree)
     w1, w2, w3 = omega.components
 
     def e(a, f):
@@ -30,10 +29,10 @@ def d1(coords, omega):
 def wedge(alpha, beta):
     """Wedge product; coefficients multiply left-to-right, thetas anticommute."""
     if alpha.module_rank != beta.module_rank or alpha.algebra_dim != beta.algebra_dim:
-        raise ShapeError("wedge needs matching module rank and algebra dimension")
+        raise ValueError("wedge needs matching module rank and algebra dimension")
     p, q = alpha.degree, beta.degree
     if p + q > 3:
-        raise DegreeError("wedge degree overflow: %d + %d > 3" % (p, q))
+        raise ValueError("wedge degree overflow: %d + %d > 3" % (p, q))
     n, N = alpha.module_rank, alpha.algebra_dim
 
     if p == 0:
@@ -56,4 +55,4 @@ def wedge(alpha, beta):
         a12, a13, a23 = alpha.components
         b1, b2, b3 = beta.components
         return GradedForm(3, n, N, (a12 @ b3 - a13 @ b2 + a23 @ b1,))
-    raise DegreeError("unsupported degree pair (%d, %d)" % (p, q))
+    raise ValueError("unsupported degree pair (%d, %d)" % (p, q))

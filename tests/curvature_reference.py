@@ -17,14 +17,14 @@ import numpy as np
 
 from fuzzychern.bundles import PAULI
 from fuzzychern.calculus import GradedForm, module_trace, scalar_form, wedge
-from fuzzychern.linalg import ShapeError, as_matrix, commutator, identity_like, kron, max_abs
+from fuzzychern.linalg import as_matrix, commutator, identity_like, kron, max_abs
 
 
 def derive(coords, axis, f):
     """e_a(f) = (1/kappa) [1_n (x) X_a, f] on an element f of the rank-n module."""
     f = as_matrix(f)
     if f.shape[0] != f.shape[1] or f.shape[0] % coords.N != 0:
-        raise ShapeError("derive needs a square n*N matrix, got %s" % (f.shape,))
+        raise ValueError("derive needs a square n*N matrix, got %s" % (f.shape,))
     x = kron(np.eye(f.shape[0] // coords.N), coords.axis(axis))
     return (x @ f - f @ x) / coords.kappa
 

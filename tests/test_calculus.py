@@ -8,7 +8,6 @@ from fuzzychern.calculus import (
     BASIS,
     EPS_ROWS,
     N_COMPONENTS,
-    DegreeError,
     GradedForm,
     d0,
     d1,
@@ -18,7 +17,7 @@ from fuzzychern.calculus import (
     wedge,
 )
 from fuzzychern.calculus import _parity
-from fuzzychern.linalg import Banded, ShapeError, frobenius_norm, kron
+from fuzzychern.linalg import Banded, frobenius_norm, kron
 from fuzzychern.su2 import SpinLabel, fuzzy_coordinates
 from volume_reference import zero_form
 
@@ -47,12 +46,6 @@ def test_derive_rotates_coordinates(coords):
     # e_1(X_2) = i X_3, e_3(X_3) = 0
     assert np.allclose(derive(coords, 1, coords.X2), 1j * coords.X3, atol=1e-13)
     assert np.allclose(derive(coords, 3, coords.X3), 0.0)
-
-
-def test_derive_refuses_a_module_element(coords):
-    # the rank-2 module is differentiated through its spin factor, in bundles
-    with pytest.raises(ShapeError):
-        derive(coords, 1, np.eye(2 * coords.N))
 
 
 def test_operator_bracket(coords):
@@ -104,11 +97,6 @@ def test_d1_of_zero(coords):
     assert d1(coords, zero_form(1, 1, coords.N)).max_entry() == 0.0
 
 
-def test_d1_rejects_wrong_degree(coords):
-    with pytest.raises(DegreeError):
-        d1(coords, zero_form(2, 1, coords.N))
-
-
 def test_wedge_theta_squared_vanishes(coords):
     i = np.eye(coords.N, dtype=complex)
     z = np.zeros_like(i)
@@ -137,12 +125,6 @@ def test_wedge_noncommutative_cross_terms(coords):
     c12 = (left + right).components[0]
     assert np.allclose(c12, f @ g - g @ f)
     assert np.max(np.abs(f @ g - g @ f)) > 1e-3  # genuinely noncommuting
-
-
-def test_wedge_degree_overflow(coords):
-    two = zero_form(2, 1, coords.N)
-    with pytest.raises(DegreeError):
-        wedge(two, two)
 
 
 def test_wedge_one_two_ordering(coords):
@@ -245,32 +227,7 @@ def test_d1_matches_reference(N, banded):
         assert_identical(d1(coords, omega), reference.d1(coords, omega))
 
 
-# GradedForm validation, which __add__, __sub__ and scale rerun
-
-
-def test_graded_form_arithmetic_refuses_incompatible_forms():
-    base = zero_form(1, 1, 4)
-    for other in (zero_form(2, 1, 4), zero_form(1, 2, 2), zero_form(1, 1, 3)):
-        with pytest.raises(ShapeError):
-            base + other
-        with pytest.raises(ShapeError):
-            base - other
-
-
-def test_graded_form_refuses_a_wrong_component_count():
-    z = np.zeros((4, 4), dtype=complex)
-    with pytest.raises(DegreeError):
-        GradedForm(1, 1, 4, (z, z))
-    with pytest.raises(DegreeError):
-        GradedForm(2, 1, 4, (z,) * 4)
-
-
-def test_graded_form_refuses_a_wrong_shaped_component():
-    z = np.zeros((4, 4), dtype=complex)
-    with pytest.raises(ShapeError):
-        GradedForm(1, 1, 4, (z, z, np.zeros((4, 3), dtype=complex)))
-    with pytest.raises(ShapeError):
-        GradedForm(0, 2, 4, (z,))
+# GradedForm arithmetic
 
 
 @pytest.mark.parametrize("degree, module_rank, N", [(0, 2, 3), (1, 1, 4), (2, 2, 2), (3, 1, 5)])

@@ -12,7 +12,6 @@ from fuzzychern.bundles import build_fuzzy_projector
 from fuzzychern.chern import (
     DENSE_MAX_N,
     REPORT_BYTES_PER_N,
-    DegenerateVolumeError,
     chern_number,
     extract_coefficient,
     gamma_formula,
@@ -123,30 +122,11 @@ def test_extract_coefficient_residual_grows_linearly():
     assert residuals[2] == pytest.approx(4 * residuals[0], rel=1e-3)
 
 
-def test_extract_coefficient_degenerate_volume():
-    from volume_reference import zero_form
-
-    om = volume_form(make_coords(3))
-    with pytest.raises(DegenerateVolumeError):
-        extract_coefficient(om, zero_form(2, 1, 3))
-
-
 def test_gamma_special_values():
     assert gamma_formula(2, "plus") == pytest.approx(3.0 * np.sqrt(3.0) / 2.0, abs=1e-14)
     assert gamma_formula(2, "minus") == 0.0
     assert gamma_formula(10, "plus") == pytest.approx(1.09674, abs=1e-5)
     assert gamma_formula(10, "minus") == pytest.approx(-0.89365, abs=1e-5)
-
-
-def test_gamma_domain():
-    with pytest.raises(ValueError):
-        gamma_formula(1, "plus")
-
-
-@pytest.mark.parametrize("sign", ["+", "-", 2, 0, None, "PLUS"])
-def test_gamma_rejects_unknown_sign(sign):
-    with pytest.raises(ValueError):
-        gamma_formula(4, sign)
 
 
 def test_gamma_commutative_limit():
@@ -176,14 +156,6 @@ def test_chern_number_large_n_trend():
     r64 = report_for(64, 1)
     r32 = report_for(32, 1)
     assert abs(r64.c1_computed - 1.0) < abs(r32.c1_computed - 1.0)
-
-
-def test_chern_number_spin_mismatch_rejected():
-    coords2 = fuzzy_coordinates(SpinLabel.from_dimension(2))
-    proj = build_fuzzy_projector(coords2, 1)
-    coords3 = make_coords(3)
-    with pytest.raises(ValueError):
-        chern_number(proj, coords3, volume_form(coords3))
 
 
 @pytest.mark.parametrize("N", list(range(2, 65)))

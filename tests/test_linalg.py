@@ -6,7 +6,6 @@ from fuzzychern.calculus import module_trace
 from fuzzychern.chern import volume_form
 from fuzzychern.linalg import (
     Banded,
-    ShapeError,
     commutator,
     frobenius_norm,
     hs_inner,
@@ -64,8 +63,6 @@ def test_dense_kron_is_numpy_kron_exactly(shapes):
     assert np.array_equal(kron(a, b), np.kron(a, b))
     assert np.array_equal(kron(a.real, b.real), np.kron(a.real, b.real).astype(complex))
     assert kron(a, b).dtype == np.complex128
-    with pytest.raises(ShapeError):
-        kron(a, b[0])
 
 
 def test_kron_mixed_product():
@@ -92,11 +89,6 @@ def test_commutator_pauli():
     assert np.allclose(commutator(s1, s2), 2j * s3)
 
 
-def test_commutator_shape_error():
-    with pytest.raises(ShapeError):
-        commutator(randc(2), randc(3))
-
-
 def test_normalized_trace_identity():
     for n in (1, 2, 5, 17):
         assert normalized_trace(np.eye(n)) == pytest.approx(1.0)
@@ -104,11 +96,6 @@ def test_normalized_trace_identity():
 
 def test_normalized_trace_direct():
     assert normalized_trace(np.diag([2.0, 0.0])) == pytest.approx(1.0)
-
-
-def test_normalized_trace_nonsquare():
-    with pytest.raises(ShapeError):
-        normalized_trace(randc(2, 3))
 
 
 def test_trace_cyclicity():
@@ -295,7 +282,3 @@ def test_banded_refuses_dense_operands():
         b @ np.eye(3)
     with pytest.raises(TypeError):
         np.eye(3) + b
-    with pytest.raises(TypeError):
-        kron(b, np.eye(2))
-    with pytest.raises(ShapeError):
-        b @ random_banded(4, (0,))

@@ -86,11 +86,18 @@ def test_density_transpose_negates():
         assert abs(a + b) <= 1e-12
 
 
-def test_density_k_bounds():
-    with pytest.raises(ValueError):
-        curvature_density(0, False, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        curvature_density(13, False, 1.0, 1.0)
+@pytest.mark.parametrize("shape", [(64, 128), (33, 70), (4, 8), (7, 2049), (100, 1000),
+                                   (2, 4), (3, 5000)])
+def test_quadrature_imag_residual_is_exactly_zero(shape, monkeypatch):
+    # the density a - conj(a) has real part x - x = 0, and the weights are real
+    residuals = []
+    monkeypatch.setattr(sphere_oracle, "require",
+                        lambda stage, residual, at="": residuals.append((stage, residual)))
+    grid = build_quadrature(*shape)
+    for k in range(1, 13):
+        for transpose in (False, True):
+            chern_number_commutative(k, transpose, grid)
+    assert residuals == [("quadrature-imag", 0.0)] * 24
 
 
 def test_charge_one(grid):
