@@ -75,9 +75,9 @@ class GradedForm:
     def scale(self, c):
         return replace(self, components=tuple(c * comp for comp in self.components))
 
-    def norm(self):
-        """Hilbert-Schmidt norm summed over components."""
-        return float(np.sqrt(sum(frobenius_norm(c) ** 2 for c in self.components)))
+    def norm(self, sizes=None):
+        """Hilbert-Schmidt norm summed over components; with ``sizes``, of each block."""
+        return np.sqrt(sum(frobenius_norm(c, sizes) ** 2 for c in self.components))
 
     def max_entry(self):
         return max(max_abs(c) for c in self.components)
@@ -125,7 +125,8 @@ def wedge(alpha, beta):
 
 
 def module_trace(eta):
-    """Partial trace over the rank-n module factor, leaving N x N coefficients."""
+    """Partial trace over the rank-n module factor, the right factor of
+    C^N (x) C^n, leaving N x N coefficients."""
     n, N = eta.module_rank, eta.algebra_dim
     if n == 1:
         return eta

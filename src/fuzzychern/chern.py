@@ -3,9 +3,10 @@
 The charge pipeline: curvature two-form F of the fuzzy projector, least
 squares extraction of its scalar coefficient against the volume form omega,
 then c_1 = lambda / (2 pi i). The closed form gamma_pm(N) is computed
-independently for comparison. ``reports_for`` builds the coordinates,
-omega, sigma.X and dQ ^ dQ once per N and reports each sign, on dense
-matrices up to DENSE_MAX_N and on ``Banded`` ones above it.
+independently for comparison. ``reports_for`` takes a ladder of N and runs
+it in batches: each batch stacks the coordinates of its N block-diagonally
+as ``Banded`` matrices, builds omega, sigma.X and dQ ^ dQ once, and reduces
+each block to its own report, whose bytes do not depend on the batch.
 """
 
 from dataclasses import dataclass
@@ -18,16 +19,19 @@ from .invariants import require
 from .linalg import hs_inner
 from .su2 import SpinLabel, fuzzy_coordinates
 
-__all__ = ["DENSE_MAX_N", "REPORT_BYTES_PER_N", "ChernReport",
+__all__ = ["BATCH_DIM", "REPORT_BYTES_PER_N", "ChernReport",
            "volume_form", "extract_coefficient", "gamma_formula", "chern_number", "reports_for",
            "report_for", "sweep"]
 
-# report_for stays dense up to this N: both signs' banded reports (~1.6 ms at N <= 45) beat the
-# dense O(N^3) ones from N = 36 (2 BLAS threads), and 45 keeps every report's digits for N <= 45.
-DENSE_MAX_N = 45
+# reports_for stacks consecutive N of a ladder while their N sum to at most this, and
+# a larger N runs alone: 2..32 (527) is one batch. A batch peaks near 1750 B per stacked
+# N, so a fresh sweep(range(2, M + 1)), whose peak is its last N plus the kept reports,
+# takes 2540 B per N of M at M = 1e3 and 2396 B at 4e3, and verify's ladder 1755 and
+# 1729 B; below M = 1024 a batch's own peak (1.8 MB at most) may exceed M x 3000 B
+BATCH_DIM = 1024
 
-# a fresh reports_for(N) peaks at 1750 B per N traced at N = 1e3 (1730 at 1e4), and
-# a banded fuzzy --N run's RSS grows ~1.7 KB per N (65 MB at N = 2e4, 204 MB at 1e5)
+# a fresh reports_for([N]) peaks at 1750 B per N traced at N = 1e3 (1730 at 1e4), and
+# a fuzzy --N run's RSS grows ~1.7 KB per N (65 MB at N = 2e4, 204 MB at 1e5)
 REPORT_BYTES_PER_N = 3000
 
 
@@ -46,7 +50,7 @@ class ChernReport:
 def volume_form(coords):
     """omega = eps_abc X_a dX_b ^ dX_c / (8 pi), a scalar-valued two-form,
     in closed form: its theta^a ^ theta^b component is lam eps_abc X_c with
-    lam = (kappa^2 - 2) / (8 pi).
+    lam = (kappa^2 - 2) / (8 pi), taken per row, so each block has its own.
 
     From [X_a, X_b] = i kappa eps_abc X_c, dX_b = e_a(X_b) theta^a =
     i eps_abc X_c theta^a. So eps_abc X_a dX_b ^ dX_c = T_de theta^d ^ theta^e,
@@ -61,18 +65,21 @@ def volume_form(coords):
     return GradedForm(2, 1, coords.N, tuple(s * lam * coords.axis(c) for _, _, c, s in EPS_ROWS))
 
 
-def extract_coefficient(F, omega):
+def extract_coefficient(F, omega, sizes=None):
     """Least-squares scalar lambda with F ~ lambda * omega, plus the residual.
 
     lambda = <omega, F> / <omega, omega> over the Hilbert-Schmidt inner
     product summed across the three components; residual = |F - lambda
     omega| / |omega| in the same norm. Both are scalar-valued two-forms, and
     omega never vanishes: its lam = (kappa^2 - 2) / (8 pi) has kappa^2 <= 4/3.
+    With the block ``sizes`` of a ladder, each block gets its own lambda and
+    residual.
     """
-    denom = sum(hs_inner(w, w).real for w in omega.components)
-    num = sum(hs_inner(w, f) for w, f in zip(omega.components, F.components))
+    denom = sum(hs_inner(w, w, sizes).real for w in omega.components)
+    num = sum(hs_inner(w, f, sizes) for w, f in zip(omega.components, F.components))
     lam = num / denom
-    residual = (F - omega.scale(lam)).norm() / omega.norm()
+    rows = lam if sizes is None else lam.repeat(sizes)
+    residual = (F - omega.scale(rows)).norm(sizes) / omega.norm(sizes)
     return lam, residual
 
 
@@ -84,44 +91,56 @@ def gamma_formula(N, sign):
 
 
 def chern_number(projector, coords, omega, w=None):
-    """Full charge report for a fuzzy projector built on ``coords``, whose
-    volume form is ``omega`` and whose W = dQ ^ dQ is ``w`` (see
-    ``bundles.curvature``)."""
+    """The charge report of each block of a fuzzy projector built on
+    ``coords``, whose volume form is ``omega`` and whose W = dQ ^ dQ is ``w``
+    (see ``bundles.curvature``)."""
     F = module_trace(curvature(coords, projector, w))  # the degree-2 Chern character
-    lam, residual = extract_coefficient(F, omega)
-    at = "N=%d sign=%+d" % (projector.N, projector.sign)
-    require("curvature", residual, at)
+    lam, residual = extract_coefficient(F, omega, coords.sizes)
     # c1 = lambda * tr_N(1) / (2 pi i), and the normalized trace tr_N(1) = N/N = 1
     c1 = lam / (2.0j * np.pi)
-    require("charge-imag", abs(c1.imag), at)
-    gamma = gamma_formula(projector.N, projector.sign)
-    ch0 = projector.ch0()
-    return ChernReport(
-        N=projector.N,
-        sign=projector.sign_name,
-        ch0=ch0.real,
-        c1_computed=c1.real,
-        gamma_formula=gamma,
-        abs_error=abs(c1.real - gamma),
-        proportionality_residual=residual,
-        projector_residual=max(projector.idempotency, projector.selfadjointness),
-    )
+    sign, reports = projector.sign, []
+    projector_residual = np.maximum(projector.idempotency, projector.selfadjointness)
+    for N, c, res, ch0, p_res in zip(coords.sizes.tolist(), c1.tolist(), residual.tolist(),
+                                     projector.ch0().real.tolist(), projector_residual.tolist()):
+        at = "N=%d sign=%+d" % (N, sign)
+        require("curvature", res, at)
+        require("charge-imag", abs(c.imag), at)
+        gamma = gamma_formula(N, sign)
+        reports.append(ChernReport(
+            N=N, sign="plus" if sign > 0 else "minus", ch0=ch0, c1_computed=c.real,
+            gamma_formula=gamma, abs_error=abs(c.real - gamma), proportionality_residual=res,
+            projector_residual=p_res))
+    return reports
 
 
-def reports_for(N, signs=(1, -1)):
-    """Reports for each sign at one N, sharing the coordinates, the volume
-    form, sigma.X and dQ ^ dQ; on banded operators when N > DENSE_MAX_N."""
-    coords = fuzzy_coordinates(SpinLabel.from_dimension(N), banded=N > DENSE_MAX_N)
+def _batch_reports(n_values, signs):
+    """Reports for each N of one batch and each sign, from one set of stacked
+    operators that is freed before the next batch is built."""
+    coords = fuzzy_coordinates(*map(SpinLabel.from_dimension, n_values), banded=True)
     omega, q, w = volume_form(coords), sigma_dot_x(coords), dq_wedge_dq(coords)
-    return [chern_number(build_fuzzy_projector(coords, s, sigma_x=q), coords, omega, w)
-            for s in signs]
+    per_sign = [chern_number(build_fuzzy_projector(coords, s, sigma_x=q), coords, omega, w)
+                for s in signs]
+    return [r for rows in zip(*per_sign) for r in rows]
+
+
+def reports_for(n_values, signs=(1, -1)):
+    """Reports for each N of the ladder n_values and each sign, ordered by N
+    then sign. A batch holds consecutive N while their N sum to at most
+    BATCH_DIM, and a larger N runs alone; each batch shares its coordinates,
+    volume form, sigma.X and dQ ^ dQ across its N and signs."""
+    batches = []
+    for N in n_values:
+        if not batches or sum(batches[-1]) + N > BATCH_DIM:
+            batches.append([])
+        batches[-1].append(N)
+    return [r for batch in batches for r in _batch_reports(batch, signs)]
 
 
 def report_for(N, sign):
-    """The report for one (N, sign)."""
-    return reports_for(N, (sign,))[0]
+    """The report for one (N, sign): a ladder of one."""
+    return reports_for([N], (sign,))[0]
 
 
 def sweep(n_values):
     """Reports for each N in n_values and both signs, ordered by N then sign."""
-    return [r for N in n_values for r in reports_for(N)]
+    return reports_for(n_values)

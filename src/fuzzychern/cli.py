@@ -15,9 +15,9 @@ import numpy as np
 
 from .bundles import PAULI, projector_coefficients, sigma_dot_x
 from .calculus import EPS_ROWS, d0, d1, derive, scalar_form, wedge
-from .chern import DENSE_MAX_N, REPORT_BYTES_PER_N, gamma_formula, reports_for, sweep
+from .chern import REPORT_BYTES_PER_N, gamma_formula, reports_for, sweep
 from .invariants import InvariantError, check, worst
-from .linalg import commutator, frobenius_norm, identity_like, kron, max_abs, normalized_trace
+from .linalg import Banded, commutator, frobenius_norm, kron, max_abs, normalized_trace
 from .sphere_oracle import (MAX_TENSOR_POWER, NODE_BYTES, build_quadrature,
                             chern_number_commutative, volume_check)
 from .su2 import SpinLabel, fuzzy_coordinates
@@ -78,7 +78,7 @@ def cmd_fuzzy(args):
         raise UsageError("--N must be >= 2")
     _check_memory("--N %d" % args.N, args.N * REPORT_BYTES_PER_N)
     signs = {"plus": [1], "minus": [-1], "both": [1, -1]}[args.sign]
-    _emit(render_reports(reports_for(args.N, signs), args.format), args.out)
+    _emit(render_reports(reports_for([args.N], signs), args.format), args.out)
     return 0
 
 
@@ -144,23 +144,24 @@ def _verify_suites(max_n):
     del abc  # the 192x192 product is not kept alive while the later suites run
 
     # su2 / coordinates, and the covariance max_b |[p, L_b]| / (N/2) of the
-    # projector p = alpha + beta sigma.X on them, L_b = S_b (x) 1 + 1 (x) X_b / kappa:
-    # [p, L_b] = beta [sigma.X, L_b], and |beta| is the same on both sign branches
-    su2, covariance = [], []
-    for twice_j in list(range(1, 8)) + [max_n - 1]:
-        # stored as reports_for stores them, so max_n costs O(max_n) memory
-        coords = fuzzy_coordinates(SpinLabel(twice_j), banded=twice_j + 1 > DENSE_MAX_N)
-        kap, xs, at = coords.kappa, [coords.X1, coords.X2, coords.X3], "N=%d" % coords.N
-        one = identity_like(xs[0], coords.N)
-        residuals = [max_abs(commutator(xs[a - 1], xs[b - 1]) - 1j * kap * s * xs[c - 1])
-                     for a, b, c, s in EPS_ROWS] + [abs(normalized_trace(x)) for x in xs]
-        residuals.append(max_abs(xs[0] @ xs[0] + xs[1] @ xs[1] + xs[2] @ xs[2] - one))
-        su2 += [check("su2-repr", r, at) for r in residuals]
-        sigma_x = sigma_dot_x(coords)
-        beta = abs(projector_coefficients(kap, 1)[1])
-        for s, x in zip(PAULI, xs):
-            commuted = commutator(sigma_x, kron(s / 2, one) + kron(np.eye(2), x / kap))
-            covariance.append(check("covariance", beta * max_abs(commuted) / (coords.N / 2), at))
+    # projector p = alpha + beta sigma.X on them, L_b = 1 (x) S_b + X_b / kappa (x) 1:
+    # [p, L_b] = beta [sigma.X, L_b], and |beta| is the same on both sign branches.
+    # One banded ladder of N = 2..8 and max_n, as reports_for stacks them, so max_n
+    # costs O(max_n) memory; each residual is taken per block
+    spins = [SpinLabel(twice_j) for twice_j in list(range(1, 8)) + [max_n - 1]]
+    coords = fuzzy_coordinates(*spins, banded=True)
+    sizes, kap, xs = coords.sizes, coords.kappa, [coords.X1, coords.X2, coords.X3]
+    ats, one = ["N=%d" % N for N in sizes.tolist()], Banded.from_diagonals(coords.N, {0: 1.0})
+    residuals = [max_abs(commutator(xs[a - 1], xs[b - 1]) - 1j * kap * s * xs[c - 1], sizes)
+                 for a, b, c, s in EPS_ROWS] + [abs(normalized_trace(x, sizes)) for x in xs]
+    residuals.append(max_abs(xs[0] @ xs[0] + xs[1] @ xs[1] + xs[2] @ xs[2] - one, sizes))
+    su2 = [check("su2-repr", r, at) for rs in residuals for r, at in zip(rs.tolist(), ats)]
+    sigma_x = sigma_dot_x(coords)
+    beta = abs(projector_coefficients(np.array([s.kappa for s in spins]), 1)[1])
+    commuted = [max_abs(commutator(sigma_x, kron(one, s / 2) + kron(x / kap, np.eye(2))), 2 * sizes)
+                for s, x in zip(PAULI, xs)]
+    covariance = [check("covariance", r, at) for c in commuted
+                  for r, at in zip((beta * c / (sizes / 2)).tolist(), ats)]
     yield "su2-repr", su2
 
     # calculus

@@ -26,7 +26,7 @@ BOUNDS = {
     # seven grids from 2x4 to 100x1000, since its density a - conj(a) has real part x - x = 0
     "quadrature-imag": 1e-9,
     "su2-repr": 1e-12,
-    "covariance": 1e-14,  # max_b |[p, L_b]| / (N/2), L_b = S_b (x) 1 + 1 (x) J_b
+    "covariance": 1e-14,  # max_b |[p, L_b]| / (N/2), L_b = J_b (x) 1 + 1 (x) S_b
     "diff-calculus": 1e-11,
     "chern-integration": 1e-9,
     "s2-oracle": 1e-8,

@@ -5,6 +5,11 @@ complex128 storage, Hilbert-Schmidt inner products, normalized traces.
 Every helper takes either a dense ndarray or a ``Banded`` matrix and returns
 the same kind, so the calculus built on them runs unchanged on both. The
 helpers trust their callers on shapes; only ``kron`` coerces other input.
+
+A block-diagonal ``Banded`` matrix stacks several operators, one block
+each. Given the block ``sizes``, the trace, the inner product, the norm and
+the largest modulus reduce each block alone, with the same arithmetic
+whatever the other blocks hold, and return one value per block.
 """
 
 import numpy as np
@@ -12,7 +17,6 @@ import numpy as np
 __all__ = [
     "Banded",
     "as_matrix",
-    "identity_like",
     "kron",
     "commutator",
     "normalized_trace",
@@ -33,7 +37,9 @@ class Banded:
     products, sums, multiples by zero, ``kron`` and the partial trace scan for
     them, while negation, multiples by a nonzero scalar, ``/``, ``conj`` and
     ``.T`` keep their operand's (a product that underflows to zero stays).
-    Scalars combine with ``*`` and ``/``; other matrices must be ``Banded``.
+    Scalars combine with ``*`` and ``/``, and so does a vector of scalars, one
+    per row: ``c * A`` is diag(c) A, with A's diagonals kept, as a nonzero
+    scalar keeps them. Other matrices must be ``Banded``.
     Traces, inner products, norms, ``kron`` and the module partial trace are
     the functions of this module, which take dense and banded operands.
     """
@@ -89,14 +95,14 @@ class Banded:
         return Banded._nonzero(self.offsets, -self.data)
 
     def __mul__(self, c):
-        if isinstance(c, Banded) or np.ndim(c) != 0:
+        if isinstance(c, Banded):
             return NotImplemented
-        return (Banded._nonzero if c != 0 else Banded)(self.offsets, c * self.data)
+        return (Banded._nonzero if np.ndim(c) or c != 0 else Banded)(self.offsets, c * self.data)
 
     __rmul__ = __mul__
 
     def __truediv__(self, c):
-        if isinstance(c, Banded) or np.ndim(c) != 0:
+        if isinstance(c, Banded):
             return NotImplemented
         return Banded._nonzero(self.offsets, self.data / c)
 
@@ -105,9 +111,9 @@ class Banded:
         # pairs (a, b) in a-major order; diagonals at |a + b| >= n are empty
         if not isinstance(other, Banded):
             return NotImplemented
-        n = self.shape[0]
+        n, cols = self.shape[0], list(zip(other.offsets.tolist(), other.data))
         pairs = [(a, b, row, col) for a, row in zip(self.offsets.tolist(), self.data)
-                 for b, col in zip(other.offsets.tolist(), other.data) if abs(a + b) < n]
+                 for b, col in cols if abs(a + b) < n]
         offsets = sorted({a + b for a, b, _, _ in pairs})
         target = {o: k for k, o in enumerate(offsets)}
         data = np.zeros((len(offsets), n), dtype=np.complex128)
@@ -142,31 +148,26 @@ def as_matrix(a):
     return np.asarray(a, dtype=np.complex128)
 
 
-def identity_like(a, n):
-    """The n x n identity, stored like a (dense or banded)."""
-    if isinstance(a, Banded):
-        return Banded.from_diagonals(n, {0: 1.0})
-    return np.eye(n, dtype=np.complex128)
-
-
 def kron(a, b):
     """Kronecker product with complex128 output.
 
-    ``b`` may be Banded when ``a`` is a small dense factor; the result is then
-    Banded, in the same block ordering as the dense product.
+    ``a`` may be Banded when ``b`` is a small dense factor; the result is then
+    Banded. Entry b[s, t] puts diagonal o of a at offset r o + (t - s), so the
+    result's offsets follow from a's and not from its dimension.
     """
     a, b = as_matrix(a), as_matrix(b)
-    r, N = a.shape[0], b.shape[0]
-    if not isinstance(b, Banded):  # np.kron's products, without its overhead
-        return (a[:, None, :, None] * b[None, :, None, :]).reshape(r * N, -1)
-    # block (s, t) of the product is a[s, t] b, at offset (t - s) N
-    pairs = [(s, t) for s in range(r) for t in range(r) if a[s, t] != 0]
-    targets = [(t - s) * N + b.offsets for s, t in pairs]
+    if not isinstance(a, Banded):  # np.kron's products, without its overhead
+        return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
+    r, n = b.shape[0], a.shape[0]
+    # a[i, i + o] b[s, t] sits at row i r + s, column (i + o) r + t: each row s
+    # and offset take at most one (t, o), so every entry is written once
+    pairs = [(s, t) for s in range(r) for t in range(r) if b[s, t] != 0]
+    targets = [r * a.offsets + (t - s) for s, t in pairs]
     offsets = np.array(sorted({o for target in targets for o in target.tolist()}), dtype=np.int64)
-    data = np.zeros((len(offsets), r * N), dtype=np.complex128)
+    data = np.zeros((len(offsets), n, r), dtype=np.complex128)
     for (s, t), target in zip(pairs, targets):
-        data[np.searchsorted(offsets, target), s * N:(s + 1) * N] += a[s, t] * b.data
-    return Banded(offsets, data)
+        data[offsets.searchsorted(target), :, s] = b[s, t] * a.data
+    return Banded(offsets, data.reshape(len(offsets), n * r))
 
 
 def commutator(a, b):
@@ -174,44 +175,59 @@ def commutator(a, b):
     return a @ b - b @ a
 
 
-def normalized_trace(a):
-    """(1/N) tr a for a square N x N matrix."""
+def _block_sums(rows, sizes):
+    """Sums of a stack of rows over consecutive column blocks of the given sizes:
+    the rows added in order, then each block's columns in a reduction of their
+    own, so a block's sum depends only on its own entries, whatever the other
+    blocks hold or which rows are zero on it."""
+    return np.add.reduceat(np.add.reduce(rows, axis=0), np.add.accumulate(sizes) - sizes)
+
+
+def normalized_trace(a, sizes=None):
+    """(1/N) tr a for a square N x N matrix; with ``sizes``, of each block of a Banded a."""
+    if sizes is not None:
+        return _block_sums(a.data[a.offsets == 0], sizes) / sizes
     if isinstance(a, Banded):
         return complex(np.add.reduce(a.data[a.offsets == 0], axis=None)) / a.shape[0]
     return complex(np.trace(a)) / a.shape[0]
 
 
-def hs_inner(a, b):
-    """Hilbert-Schmidt inner product tr(a^dagger b) of two dense or two Banded matrices."""
+def hs_inner(a, b, sizes=None):
+    """Hilbert-Schmidt inner product tr(a^dagger b) of two dense or two Banded matrices;
+    with ``sizes``, of each block of two Banded ones."""
     if isinstance(a, Banded):
+        ours, theirs = a.offsets.tolist(), b.offsets.tolist()
         # both offsets are sorted, so the common diagonals come in the same order
-        common = set(a.offsets.tolist()) & set(b.offsets.tolist())
-        a, b = (m.data[[o in common for o in m.offsets.tolist()]] for m in (a, b))
+        common = set(ours) & set(theirs) if ours != theirs else None
+        a, b = (m.data if common is None else m.data[[o in common for o in offs]]
+                for m, offs in ((a, ours), (b, theirs)))
+    if sizes is not None:
+        return _block_sums(np.conj(a) * b, sizes)
     return complex(np.add.reduce(np.conj(a) * b, axis=None))
 
 
-def frobenius_norm(a):
-    """sqrt(sum |a_ij|^2) by elementwise sums, not a BLAS dot: kernel-independent."""
+def frobenius_norm(a, sizes=None):
+    """sqrt(sum |a_ij|^2) by elementwise sums, not a BLAS dot: kernel-independent;
+    with ``sizes``, of each block of a Banded a."""
     x = np.ascontiguousarray(a.data if isinstance(a, Banded) else a).view(np.float64)
-    return float(np.sqrt(np.add.reduce(x * x, axis=None)))  # x holds re, im, re, ...
+    if sizes is not None:  # x holds re, im, re, ..., two columns per row
+        return np.sqrt(_block_sums(x * x, 2 * np.asarray(sizes)))
+    return float(np.sqrt(np.add.reduce(x * x, axis=None)))
 
 
-def max_abs(a):
-    """Largest entry modulus."""
-    return float(np.maximum.reduce(np.abs(a.data if isinstance(a, Banded) else a), axis=None,
-                                   initial=0.0))
+def max_abs(a, sizes=None):
+    """Largest entry modulus; with ``sizes``, of each block of a Banded a."""
+    x = np.abs(a.data if isinstance(a, Banded) else a)
+    if sizes is not None:
+        x = np.maximum.reduce(x, axis=0, initial=0.0)
+        return np.maximum.reduceat(x, np.add.accumulate(sizes) - sizes)
+    return float(np.maximum.reduce(x, axis=None, initial=0.0))
 
 
 def partial_trace(a, r):
-    """Trace over the C^r factor of C^r (x) C^N (block ordering of kron)."""
-    N = a.shape[0] // r
-    if not isinstance(a, Banded):
-        return np.einsum("iaib->ab", a.reshape(r, N, r, N))
-    # diagonal blocks only hold offsets below N; sum the r blocks row by row
-    inside = np.abs(a.offsets) < N
-    offsets = a.offsets[inside]
-    data = a.data[inside].reshape(len(offsets), r, N).sum(axis=1)
-    # entries whose column leaves the block belong to off-diagonal blocks
-    cols = np.arange(N)[None, :] + offsets[:, None]
-    data[(cols < 0) | (cols >= N)] = 0.0
-    return Banded(offsets, data)
+    """Trace of a Banded a over the C^r factor of C^N (x) C^r, the right factor
+    of ``kron``."""
+    # diagonal o of the trace sums the r rows of each r x r block of diagonal r o
+    keep = a.offsets % r == 0
+    data = a.data[keep]
+    return Banded(a.offsets[keep] // r, sum((data[:, s::r] for s in range(1, r)), data[:, ::r]))

@@ -50,18 +50,21 @@ class SpinLabel:
         return cls(twice_j=N - 1)
 
 
-def build_irrep(spin, banded=False):
-    """Return (J1, J2, J3) of the irreducible spin-j representation.
+def build_irrep(*spins, banded=False):
+    """Return (J1, J2, J3) of the irreducible spin-j representation of each
+    spin, stacked block-diagonally in order.
 
     J3 is diagonal with entries j, j-1, ..., -j; ladder matrix elements use
-    the Condon-Shortley convention <m+1|J+|m> = sqrt(j(j+1) - m(m+1)).
+    the Condon-Shortley convention <m+1|J+|m> = sqrt(j(j+1) - m(m+1)), which
+    is 0 between blocks, where m+1 is the next block's top m = j.
     With ``banded`` the matrices are ``Banded``, otherwise dense.
     """
-    j = spin.j
-    N = spin.N
-    m = j - np.arange(N)  # j, j-1, ..., -j
+    sizes = np.array([s.N for s in spins])
+    j = ((sizes - 1) / 2.0).repeat(sizes)
+    m = j - (np.arange(len(j)) - (np.add.accumulate(sizes) - sizes).repeat(sizes))  # j, ..., -j
+    N = len(m)
     # J+ |m> = sqrt(j(j+1) - m(m+1)) |m+1>; row index m+1 sits above row m
-    ladder = np.sqrt(j * (j + 1.0) - m[1:] * (m[1:] + 1.0))
+    ladder = np.sqrt(j[1:] * (j[1:] + 1.0) - m[1:] * (m[1:] + 1.0))
     if banded:
         jz = Banded.from_diagonals(N, {0: m})
         jplus = Banded.from_diagonals(N, {1: ladder})
@@ -77,29 +80,34 @@ def build_irrep(spin, banded=False):
 
 @dataclass(frozen=True)
 class FuzzyCoordinates:
-    """The three coordinates X_a = kappa * J_a of the fuzzy sphere, as dense
-    ndarrays or as ``Banded`` matrices."""
+    """The three coordinates X_a = kappa * J_a of the fuzzy sphere of each
+    spin, stacked block-diagonally in the order of ``spins``, as dense ndarrays
+    or as ``Banded`` matrices. ``kappa`` holds the kappa of each row's block,
+    so a vector of one value per row scales each block by its own."""
 
-    spin: SpinLabel
+    spins: tuple
+    kappa: object = field(repr=False)
     X1: object = field(repr=False)
     X2: object = field(repr=False)
     X3: object = field(repr=False)
 
     @property
-    def kappa(self):
-        return self.spin.kappa
+    def N(self):
+        """The stacked dimension: the sum of the blocks' N."""
+        return len(self.kappa)
 
     @property
-    def N(self):
-        return self.spin.N
+    def sizes(self):
+        """Each block's N, in order."""
+        return np.array([s.N for s in self.spins])
 
     def axis(self, a):
         """Coordinate along axis a in {1, 2, 3}."""
         return (self.X1, self.X2, self.X3)[a - 1]
 
 
-def fuzzy_coordinates(spin, banded=False):
-    """Build the fuzzy coordinates for the given spin, dense or ``banded``."""
-    j1, j2, j3 = build_irrep(spin, banded)
-    k = spin.kappa
-    return FuzzyCoordinates(spin=spin, X1=k * j1, X2=k * j2, X3=k * j3)
+def fuzzy_coordinates(*spins, banded=False):
+    """Build the fuzzy coordinates of the given spins, dense or ``banded``."""
+    kappa = np.array([s.kappa for s in spins]).repeat([s.N for s in spins])
+    j1, j2, j3 = build_irrep(*spins, banded=banded)
+    return FuzzyCoordinates(spins, kappa, kappa * j1, kappa * j2, kappa * j3)

@@ -11,7 +11,7 @@ from fuzzychern.bundles import (
     sigma_dot_x,
 )
 from fuzzychern.calculus import scalar_form, wedge
-from fuzzychern.linalg import Banded, commutator, identity_like, kron
+from fuzzychern.linalg import Banded, commutator, kron, max_abs
 from fuzzychern.su2 import SpinLabel, fuzzy_coordinates
 import curvature_reference as reference
 from banded_reference import toarray
@@ -62,8 +62,13 @@ def test_solve_params_commutative_limit():
     assert beta_minus == pytest.approx(-0.5, abs=1e-8)
 
 
+def banded_coordinates(*n_values):
+    """The Banded coordinates of a ladder of N, stacked as reports stack them."""
+    return fuzzy_coordinates(*map(SpinLabel.from_dimension, n_values), banded=True)
+
+
 def test_fuzzy_projector_n2_plus():
-    coords = fuzzy_coordinates(SpinLabel.from_dimension(2))
+    coords = banded_coordinates(2)
     proj = build_fuzzy_projector(coords, 1)
     assert proj.alpha == pytest.approx(0.75, abs=1e-14)
     assert proj.beta == pytest.approx(np.sqrt(3.0) / 4.0, abs=1e-14)
@@ -71,7 +76,7 @@ def test_fuzzy_projector_n2_plus():
 
 
 def test_fuzzy_projector_n3_plus():
-    coords = fuzzy_coordinates(SpinLabel.from_dimension(3))
+    coords = banded_coordinates(3)
     proj = build_fuzzy_projector(coords, 1)
     assert proj.alpha == pytest.approx(2.0 / 3.0, abs=1e-14)
     assert proj.beta == pytest.approx(np.sqrt(2.0) / 3.0, abs=1e-14)
@@ -81,29 +86,33 @@ def test_fuzzy_projector_n3_plus():
 @pytest.mark.parametrize("N", list(range(2, 65)))
 @pytest.mark.parametrize("sign", [1, -1])
 def test_fuzzy_projector_invariants(N, sign):
-    coords = fuzzy_coordinates(SpinLabel.from_dimension(N))
+    coords = banded_coordinates(N)
     proj = build_fuzzy_projector(coords, sign)
     assert proj.idempotency <= 1e-12
     assert proj.selfadjointness <= 1e-12
     assert proj.ch0().real == pytest.approx(1.0 + sign / N, abs=1e-12)
-    assert abs(proj.beta * coords.kappa - sign / N) <= 1e-13
+    assert np.max(np.abs(proj.beta * coords.kappa - sign / N)) <= 1e-13
 
 
 @pytest.mark.parametrize("N", [2, 5, 33])
-@pytest.mark.parametrize("banded", [False, True])
-def test_fuzzy_projector_stores_its_residuals(N, banded):
-    coords = fuzzy_coordinates(SpinLabel.from_dimension(N), banded=banded)
+@pytest.mark.parametrize("stacked", [False, True])
+def test_fuzzy_projector_stores_its_residuals(N, stacked):
+    # N alone, or the middle block of a ladder: each block's residuals are those
+    # of its own 2N x 2N block of p, p - p^dagger exactly and p p - p up to the
+    # order of the roundings in the dense product
+    n_values = [7, N, 4] if stacked else [N]
+    coords = banded_coordinates(*n_values)
+    k = n_values.index(N)
+    rows = slice(2 * sum(n_values[:k]), 2 * sum(n_values[:k + 1]))
     for sign in (1, -1):
         proj = build_fuzzy_projector(coords, sign)
-        assert (proj.alpha, proj.beta) == projector_coefficients(coords.kappa, sign)
-        p = proj.realization
-        # dense: the very value the old per-call recomputation gave; banded:
-        # the same up to the order of the roundings in p @ p
-        tol = 0.0
-        if banded:
-            p, tol = toarray(p), 1e-15
-        assert abs(proj.idempotency - np.max(np.abs(p @ p - p))) <= tol
-        assert abs(proj.selfadjointness - np.max(np.abs(p - p.conj().T))) <= tol
+        alpha, beta = projector_coefficients(coords.kappa, sign)
+        assert np.array_equal(proj.alpha, alpha) and np.array_equal(proj.beta, beta)
+        p = toarray(proj.realization)
+        assert not p[rows, :rows.start].any() and not p[rows, rows.stop:].any()
+        p = p[rows, rows]
+        assert abs(proj.idempotency[k] - np.max(np.abs(p @ p - p))) <= 1e-15
+        assert proj.selfadjointness[k] == np.max(np.abs(p - p.conj().T))
 
 
 def test_projector_coefficients_domain():
@@ -111,18 +120,27 @@ def test_projector_coefficients_domain():
         projector_coefficients(0.5, 0)
 
 
-@pytest.mark.parametrize("banded", [False, True])
-def test_curvature_of_projector_equals_curvature_of_its_matrix(banded):
-    # beta^2 p (dQ ^ dQ) against the reference's p (dp)(dp), dp_b = (1/kappa) [1 (x) X_b, p],
-    # whose roundoff grows as N (7.6e-17 N measured at N = 1000); dense only
-    # up to 46, since dense N = 1000 takes about 24 s per sign
-    for N in (2, 3, 8, 46) + ((257, 1000) if banded else ()):
-        coords = fuzzy_coordinates(SpinLabel.from_dimension(N), banded=banded)
+def each_ladder(stacked, n_values):
+    """The coordinates of each N alone, or of all of them as one ladder."""
+    return [banded_coordinates(*n_values)] if stacked else map(banded_coordinates, n_values)
+
+
+def block_max_entry(form, coords):
+    """The largest entry modulus of each block of a module-valued form."""
+    return np.maximum.reduce([max_abs(c, 2 * coords.sizes) for c in form.components])
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_curvature_of_projector_equals_curvature_of_its_matrix(stacked):
+    # beta^2 p (dQ ^ dQ) against the reference's p (dp)(dp), dp_b = (1/kappa) [X_b (x) 1, p],
+    # whose roundoff grows as N (7.6e-17 N measured at N = 1000); each N alone,
+    # or all of them stacked as one ladder, with each block held to its own bound
+    for coords in each_ladder(stacked, (2, 3, 8, 46, 257, 1000)):
         for sign in (1, -1):
             proj = build_fuzzy_projector(coords, sign)
             from_proj = curvature(coords, proj)
             from_matrix = reference.curvature(coords, proj.realization)
-            assert (from_proj - from_matrix).max_entry() <= 2e-16 * N
+            assert np.all(block_max_entry(from_proj - from_matrix, coords) <= 2e-16 * coords.sizes)
 
 
 def same_matrix(a, b):
@@ -133,12 +151,11 @@ def same_matrix(a, b):
     return np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("banded", [False, True])
-def test_shared_curvature_matches_the_per_sign_spin_factor_form(banded):
-    # beta^2 p (dQ ^ dQ) against p (dp ^ dp) with dp_b = [p, S_b (x) 1]: measured
+@pytest.mark.parametrize("stacked", [False, True])
+def test_shared_curvature_matches_the_per_sign_spin_factor_form(stacked):
+    # beta^2 p (dQ ^ dQ) against p (dp ^ dp) with dp_b = [p, 1 (x) S_b]: measured
     # at most 2.2e-16, flat in N up to 1000, so no factor of N in the bound
-    for N in (2, 3, 8, 46) + ((257, 1000) if banded else ()):
-        coords = fuzzy_coordinates(SpinLabel.from_dimension(N), banded=banded)
+    for coords in each_ladder(stacked, (2, 3, 8, 46, 257, 1000)):
         w = dq_wedge_dq(coords)
         for sign in (1, -1):
             proj = build_fuzzy_projector(coords, sign)
@@ -150,13 +167,13 @@ def test_shared_curvature_matches_the_per_sign_spin_factor_form(banded):
 
 @pytest.mark.parametrize("N", list(range(2, 60)) + [256, 1000])
 def test_dq_from_kron_equals_the_commutator_with_the_spin_factor(N):
-    # dQ_b = i eps_abc sigma_c (x) X_a is [Q, S_b (x) 1] bit for bit, dense and banded
+    # dQ_b = i eps_abc X_a (x) sigma_c is [Q, 1 (x) S_b] bit for bit, dense and banded
     for banded in (False, True) if N < 60 else (True,):
         coords = fuzzy_coordinates(SpinLabel.from_dimension(N), banded=banded)
         q = sigma_dot_x(coords)
-        one = identity_like(q, N)
+        one = Banded.from_diagonals(N, {0: 1.0}) if banded else np.eye(N)
         for d, s in zip(dq(coords).components, PAULI):
-            assert same_matrix(d, commutator(q, kron(s / 2, one)))
+            assert same_matrix(d, commutator(q, kron(one, s / 2)))
 
 
 def test_bott_projector_north_pole():
@@ -221,7 +238,7 @@ def test_curvature_rejects_non_idempotent():
 @pytest.mark.parametrize("N", [2, 3, 5, 8])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_p_dp_p_vanishes(N, sign):
-    coords = fuzzy_coordinates(SpinLabel.from_dimension(N))
+    coords = banded_coordinates(N)
     p = build_fuzzy_projector(coords, sign).realization
     pform = scalar_form(p, module_rank=2, algebra_dim=N)
     sandwich = wedge(pform, wedge(reference.d0(coords, p), pform))
@@ -233,9 +250,9 @@ def test_transposed_fuzzy_projector_experiment():
     # still an exact multiple of the volume form (value probed, not gated).
     from fuzzychern.chern import extract_coefficient, volume_form
 
-    coords = fuzzy_coordinates(SpinLabel.from_dimension(4))
+    coords = banded_coordinates(4)
     pt = build_fuzzy_projector(coords, 1).realization.T
-    assert np.max(np.abs(pt @ pt - pt)) <= 1e-12
+    assert max_abs(pt @ pt - pt) <= 1e-12
     _, residual = extract_coefficient(reference.chern_character_form(coords, pt),
                                       volume_form(coords))
     assert residual <= 1e-10

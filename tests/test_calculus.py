@@ -19,6 +19,7 @@ from fuzzychern.calculus import (
 from fuzzychern.calculus import _parity
 from fuzzychern.linalg import Banded, frobenius_norm, kron
 from fuzzychern.su2 import SpinLabel, fuzzy_coordinates
+from banded_reference import toarray
 from volume_reference import zero_form
 
 rng = np.random.default_rng(99)
@@ -136,19 +137,23 @@ def test_wedge_one_two_ordering(coords):
     assert np.allclose(wedge(th12, th3).components[0], i)
 
 
+def full_banded(n):
+    """A Banded n x n matrix with every diagonal random."""
+    return Banded.from_diagonals(n, {o: randc(n)[0, :n - abs(o)] for o in range(1 - n, n)})
+
+
 def test_module_trace_identity_factor(coords):
-    a = randc(coords.N)
-    form = GradedForm(1, 2, coords.N, (kron(np.eye(2), a),) * 3)
+    a = full_banded(coords.N)
+    form = GradedForm(1, 2, coords.N, (kron(a, np.eye(2)),) * 3)
     traced = module_trace(form)
     assert traced.module_rank == 1
     for c in traced.components:
-        assert np.allclose(c, 2.0 * a)
+        assert np.allclose(toarray(c), 2.0 * toarray(a))
 
 
 def test_module_trace_traceless_factor(coords):
     s3 = np.diag([1.0 + 0j, -1.0])
-    a = randc(coords.N)
-    form = GradedForm(1, 2, coords.N, (kron(s3, a),) * 3)
+    form = GradedForm(1, 2, coords.N, (kron(full_banded(coords.N), s3),) * 3)
     assert module_trace(form).max_entry() <= 1e-13
 
 

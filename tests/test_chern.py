@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fuzzychern import chern, cli
 from fuzzychern.bundles import build_fuzzy_projector
 from fuzzychern.chern import (
-    DENSE_MAX_N,
+    BATCH_DIM,
     REPORT_BYTES_PER_N,
     chern_number,
     extract_coefficient,
@@ -22,6 +24,8 @@ from fuzzychern.chern import (
 )
 from fuzzychern.linalg import Banded, max_abs, normalized_trace
 from fuzzychern.su2 import SpinLabel, fuzzy_coordinates
+from banded_reference import toarray
+from report_reference import dense_report
 from volume_reference import derived_volume_form
 
 rng = np.random.default_rng(31415)
@@ -64,7 +68,8 @@ def test_volume_form_unitary_covariance():
     coords = make_coords(N)
     q, _ = np.linalg.qr(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
     rotated = FuzzyCoordinates(
-        spin=coords.spin,
+        spins=coords.spins,
+        kappa=coords.kappa,
         X1=q @ coords.X1 @ q.conj().T,
         X2=q @ coords.X2 @ q.conj().T,
         X3=q @ coords.X3 @ q.conj().T,
@@ -77,11 +82,26 @@ def test_volume_form_unitary_covariance():
 
 @pytest.mark.parametrize("N", [*range(2, 13), 33, 45, 46, 64, 257, 1000])
 def test_volume_form_matches_the_derived_form(N):
-    # dense up to DENSE_MAX_N, banded above it, as reports_for builds them
-    coords = fuzzy_coordinates(SpinLabel.from_dimension(N), banded=N > DENSE_MAX_N)
-    closed, derived = volume_form(coords), derived_volume_form(coords)
-    for c, d in zip(closed.components, derived.components):
-        assert max_abs(c - d) <= 1e-12
+    # banded, as reports_for builds it at every N, and dense, where the derived
+    # form's products stay cheap
+    for banded in (True, False) if N <= 64 else (True,):
+        coords = fuzzy_coordinates(SpinLabel.from_dimension(N), banded=banded)
+        closed, derived = volume_form(coords), derived_volume_form(coords)
+        for c, d in zip(closed.components, derived.components):
+            assert max_abs(c - d) <= 1e-12
+
+
+def test_volume_form_of_a_ladder_takes_each_block_alone():
+    # lam is per row, so each block of a stacked ladder is the form of its N
+    n_values = [2, 5, 3]
+    ladder = volume_form(fuzzy_coordinates(*map(SpinLabel.from_dimension, n_values), banded=True))
+    start = 0
+    for N in n_values:
+        alone = volume_form(fuzzy_coordinates(SpinLabel.from_dimension(N), banded=True))
+        for c, a in zip(ladder.components, alone.components):
+            block = toarray(c)[start:start + N, start:start + N]
+            assert np.array_equal(block, toarray(a))
+        start += N
 
 
 @pytest.mark.parametrize("N", [8, 64])
@@ -166,21 +186,27 @@ def test_charge_formula_agreement(N):
         assert r.proportionality_residual <= 1e-10
 
 
-def test_sweep_builds_volume_form_once_per_n(count_calls):
-    from fuzzychern import bundles, chern
+def test_sweep_builds_volume_form_once_per_batch(count_calls):
+    from fuzzychern import bundles
 
     forms = count_calls(chern, "volume_form")
     projectors = count_calls(bundles, "build_fuzzy_projector")
     reports = sweep(range(2, 6))
     assert len(reports) == 8
-    assert len(forms) == 4
-    assert len(projectors) == 8
+    assert [coords.sizes.tolist() for (coords,) in forms] == [[2, 3, 4, 5]]
+    assert len(projectors) == 2
+    # a batch holds consecutive N while their N sum to at most BATCH_DIM
+    forms.clear()
+    sweep([BATCH_DIM - 2, 2, 4, BATCH_DIM + 1, 3])
+    assert [coords.sizes.tolist() for (coords,) in forms] == [
+        [BATCH_DIM - 2, 2], [4], [BATCH_DIM + 1], [3]]
 
 
 def test_reports_for_matches_one_sign_reports():
-    for N in (3, DENSE_MAX_N + 2):
-        assert reports_for(N) == [report_for(N, 1), report_for(N, -1)]
-        assert reports_for(N, (-1,)) == [report_for(N, -1)]
+    for N in (3, 47):
+        assert reports_for([N]) == [report_for(N, 1), report_for(N, -1)]
+        assert reports_for([N], (-1,)) == [report_for(N, -1)]
+    assert reports_for([3, 47], (-1,)) == [report_for(3, -1), report_for(47, -1)]
 
 
 def test_sweep_ordering():
@@ -190,23 +216,34 @@ def test_sweep_ordering():
     ]
 
 
-def report_on(N, sign, banded):
-    coords = fuzzy_coordinates(SpinLabel.from_dimension(N), banded=banded)
-    return chern_number(build_fuzzy_projector(coords, sign), coords, volume_form(coords))
+def report_on(N, sign):
+    coords = fuzzy_coordinates(SpinLabel.from_dimension(N), banded=True)
+    return chern_number(build_fuzzy_projector(coords, sign), coords, volume_form(coords))[0]
 
 
-def test_report_for_switches_to_banded_above_crossover():
-    assert DENSE_MAX_N >= 33  # verify --max-N 32 stays on the dense path
-    for N in (DENSE_MAX_N, DENSE_MAX_N + 1):
-        banded = N > DENSE_MAX_N
-        assert report_for(N, 1) == report_on(N, 1, banded)
+def test_report_for_is_banded_at_every_n(monkeypatch):
+    # every ladder builds Banded coordinates, the N of the old dense range
+    # (N <= 45) included, and a report is the banded pipeline's at any N
+    built = []
+
+    def spy(*spins, banded=False):
+        built.append(banded)
+        return fuzzy_coordinates(*spins, banded=banded)
+
+    monkeypatch.setattr(chern, "fuzzy_coordinates", spy)
+    for N in (2, 32, 45, 46):
+        assert report_for(N, 1) == report_on(N, 1)
+    sweep(range(2, 50))  # two batches: 2..44 and 45..49
+    assert len(built) == 6 and all(built)
 
 
 @pytest.mark.parametrize("N", [2, 3, 8, 33, 64, 128, 256])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_banded_report_matches_dense(N, sign):
-    dense = report_on(N, sign, banded=False)
-    banded = report_on(N, sign, banded=True)
+    # the tests' dense reference, every product a numpy one, in the ordering
+    # sigma (x) X, against the program's banded report in X (x) sigma
+    dense = dense_report(N, sign)
+    banded = report_for(N, sign)
     assert abs(banded.c1_computed - dense.c1_computed) <= 1e-12
     assert abs(banded.ch0 - dense.ch0) <= 1e-12
     assert banded.abs_error <= 1e-9
@@ -256,9 +293,19 @@ def test_a_report_makes_the_same_banded_operations_at_every_n(monkeypatch):
         for signs, pin in (((1, -1), (14, 55)), ((1,), (10, 41)), ((-1,), (10, 41))):
             products.clear()
             constructions.clear()
-            reports_for(N, signs)
+            reports_for([N], signs)
             assert (len(products), len(constructions)) == pin
-            assert max(products) <= 7
+            assert max(products) <= 6
+    # a whole ladder of one batch makes the products of one N: sweep 2..32 and
+    # verify --max-N 32's ladder (527 rows in all), and N = 2 alone
+    for ladder in (range(2, 33), cli._verify_ladder(32), [2]):
+        products.clear()
+        constructions.clear()
+        sweep(ladder)
+        assert (len(products), len(constructions)) == (14, 55)
+    products.clear()
+    sweep(cli._verify_ladder(1000))  # three batches: 2..32 with 64..256, 512, 1000
+    assert len(products) == 3 * 14
 
 
 REPORT_PEAK_SCRIPT = """
@@ -267,7 +314,7 @@ from fuzzychern.chern import reports_for
 peaks = []
 for N in (1000, 10000):
     tracemalloc.start()
-    reports_for(N)
+    reports_for([N])
     peaks.append(tracemalloc.get_traced_memory()[1] / N)
     tracemalloc.stop()
 print(json.dumps(peaks))
@@ -279,14 +326,43 @@ def test_report_bytes_per_n_covers_the_peak_of_a_fresh_process():
     # process as the CLI runs: 1750 B per N at N = 1e3 and 1730 B at 1e4 since both
     # signs share dQ ^ dQ (1894 and 1874 B before; 2994 B at 1e3 while kron's
     # np.unique loaded numpy.ma, 1.1 MB, on first use)
+    peaks = run_fresh(REPORT_PEAK_SCRIPT)
+    assert max(peaks) <= REPORT_BYTES_PER_N, peaks
+
+
+def run_fresh(script, timeout=60):
+    """The json that ``script`` prints, run in a fresh Python on this source tree."""
     src = str(Path(__file__).parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", REPORT_PEAK_SCRIPT], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=timeout)
     assert proc.returncode == 0, proc.stderr
-    peaks = json.loads(proc.stdout)
-    assert max(peaks) <= REPORT_BYTES_PER_N, peaks
+    return json.loads(proc.stdout)
+
+
+LADDER_PEAK_SCRIPT = """
+import json, tracemalloc
+from fuzzychern.chern import sweep
+from fuzzychern.cli import _verify_ladder
+peaks = {}
+for M in (1000, 4000):
+    for name, ladder in (("sweep", range(2, M + 1)), ("verify", _verify_ladder(M))):
+        tracemalloc.start()
+        sweep(ladder)
+        peaks["%s %d" % (name, M)] = tracemalloc.get_traced_memory()[1] / M
+        tracemalloc.stop()
+print(json.dumps(peaks))
+"""
+
+
+def test_report_bytes_per_n_covers_the_peak_of_a_batched_ladder():
+    # sweep --to M and verify --max-N M refuse M by M x REPORT_BYTES_PER_N; their
+    # batches of at most BATCH_DIM stacked rows keep to it: 2540 and 2396 B per N
+    # of M for sweep at M = 1e3 and 4e3 (the last N plus every kept report),
+    # 1755 and 1729 B for verify's doubling ladder
+    peaks = run_fresh(LADDER_PEAK_SCRIPT, timeout=240)
+    assert max(peaks.values()) <= REPORT_BYTES_PER_N, peaks
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -297,3 +373,31 @@ def test_residual_stays_flat_along_a_banded_ladder(sign):
         r = report_for(N, sign)
         assert r.proportionality_residual <= 1e-14
         assert r.abs_error <= 1e-14
+
+
+def test_one_row_per_n_whatever_its_batch(monkeypatch):
+    # each block is reduced with the same arithmetic alone or stacked, so a
+    # report's every bit is the same in every ladder that holds its N; no
+    # field is a negative zero (N = 2 minus gives +0.0 for c1, abs_error and
+    # the residual)
+    verified = []
+
+    def spy(n_values):
+        verified.extend(sweep(n_values))
+        return verified
+
+    monkeypatch.setattr(cli, "sweep", spy)
+    assert cli.main(["verify", "--max-N", "64"]) == 0
+    runs = {"verify": verified, "sweep 2..32": sweep(range(2, 33)),
+            "sweep 44..48": sweep(range(44, 49))}
+    seen = set()
+    for name, reports in runs.items():
+        for r in reports:
+            sign = 1 if r.sign == "plus" else -1
+            alone = [report_for(r.N, sign), reports_for([r.N], (sign,))[0]]
+            assert [repr(r)] * 2 == list(map(repr, alone)), name
+            assert not any(v == 0 and np.signbit(v) for v in dataclasses.astuple(r)[2:]), r
+            seen.add(r.N)
+    assert seen == set(range(2, 33)) | set(range(44, 49)) | {64}
+    assert repr(report_for(2, -1)) == repr(reports_for([2])[1]) == repr(
+        sweep(range(2, 33))[1])

@@ -367,20 +367,24 @@ def test_verify_builds_each_projector_and_volume_form_once(capsys, count_calls):
     shared = count_calls(bundles, "dq_wedge_dq")
     code, _, _ = run(capsys, "verify", "--max-N", "8")
     assert code == 0
-    built = Counter((coords.N, sign) for coords, sign in projectors)
-    assert built == Counter({(N, s): 1 for N in range(2, 9) for s in (1, -1)})
-    assert sorted(coords.N for (coords,) in forms) == list(range(2, 9))
-    assert sorted(coords.N for (coords,) in shared) == list(range(2, 9))  # W, once per N
+    # the ladder 2..8 is one batch: one projector per sign, one omega and one W
+    ladder = tuple(range(2, 9))
+    built = Counter((tuple(coords.sizes.tolist()), sign) for coords, sign in projectors)
+    assert built == Counter({(ladder, s): 1 for s in (1, -1)})
+    assert [tuple(coords.sizes.tolist()) for (coords,) in forms] == [ladder]
+    assert [tuple(coords.sizes.tolist()) for (coords,) in shared] == [ladder]
 
 
 def test_verify_above_32_builds_a_doubling_ladder(capsys, count_calls):
-    # every N up to 32, then N doubling up to max_N: O(log max_N) reports
+    # every N up to 32, then N doubling up to max_N: O(log max_N) reports, in
+    # batches of at most BATCH_DIM stacked rows
     projectors = count_calls(bundles, "build_fuzzy_projector")
     code, out, _ = run(capsys, "verify", "--max-N", "1000")
     assert code == 0 and out.endswith("all suites passed\n")
-    built = Counter((coords.N, sign) for coords, sign in projectors)
-    ladder = list(range(2, 33)) + [64, 128, 256, 512, 1000]
-    assert built == Counter({(N, s): 1 for N in ladder for s in (1, -1)})
+    built = Counter((tuple(coords.sizes.tolist()), sign) for coords, sign in projectors)
+    batches = [tuple(range(2, 33)) + (64, 128, 256), (512,), (1000,)]
+    assert built == Counter({(batch, s): 1 for batch in batches for s in (1, -1)})
+    assert all(sum(batch) <= chern.BATCH_DIM for batch in batches[:2])
 
 
 # captured from the command-line output before a refactor that kept it: the
@@ -414,7 +418,15 @@ def test_verify_above_32_builds_a_doubling_ladder(capsys, count_calls):
 # F = beta^2 p (dQ ^ dQ) instead of p (dp ^ dp), dp_b = [p, S_b (x) 1]: only
 # the abs_error and residual columns moved, and verify_8's chern-integration
 # residual (1.933e-15 to 1.812e-15); no printed c1, ch0 or gamma moved, and
-# the commutative files stayed byte-identical
+# the commutative files stayed byte-identical. The sweep, fuzzy and verify
+# files were recaptured when every report became banded, in the ordering
+# X (x) sigma and stacked over a batch of N: c1 moved in its 15th printed
+# digit at N = 10 minus (-0.893642324955967 to -0.893642324955966) and
+# N = 257 minus (-0.996101291337129 to -0.99610129133713), no ch0 or gamma
+# moved, the abs_error and residual columns moved below 2e-15, and
+# verify_8's bundles residual went from 1.388e-16 to 2.220e-16 and its
+# chern-integration residual from 1.812e-15 to 1.817e-15; the commutative
+# files stayed byte-identical
 GOLDEN_CASES = [
     (("sweep", "--from", "2", "--to", "12"), "sweep_2_12.table"),
     (("sweep", "--from", "2", "--to", "12", "--format", "csv"), "sweep_2_12.csv"),
@@ -473,17 +485,22 @@ grid = build_quadrature(64, 128)
 print([chern_number_commutative(k, t, grid) for k in range(1, 13) for t in (False, True)])
 sys.exit(max(main(['commutative', '--k', '4', '--transpose', '--format', 'csv']),
              main(['fuzzy', '--N', '75', '--sign', 'plus', '--format', 'csv']),
+             main(['sweep', '--from', '2', '--to', '12', '--format', 'csv']),
+             main(['sweep', '--from', '44', '--to', '48', '--format', 'csv']),
              main(['verify', '--max-N', '8'])))
 """
 
 
 def test_oracle_and_banded_output_do_not_depend_on_the_blas_kernel():
-    # neither the oracle nor a banded report (N > DENSE_MAX_N) makes a BLAS
-    # call, so forcing another OpenBLAS kernel in the child process leaves the
-    # oracle's charges bit-identical and both outputs byte-identical; verify's
-    # other lines may move. The repr of every charge sees a last-bit change
-    # that the printed 15 digits hide, and N = 75's residual moved in its last
-    # printed digit while the Frobenius norm was a BLAS dot
+    # neither the oracle nor a report, banded at every N, makes a BLAS call, so
+    # forcing another OpenBLAS kernel in the child process leaves the oracle's
+    # charges bit-identical and the commutative, fuzzy and sweep outputs
+    # byte-identical, the sweeps equal to their golden files; verify's other
+    # lines may move (its diff-calculus suite runs dense products). The repr of
+    # every charge sees a last-bit change that the printed 15 digits hide,
+    # N = 75's residual moved in its last printed digit while the Frobenius
+    # norm was a BLAS dot, and the sweeps' dense rows (N <= 45) moved under
+    # Prescott and Sandybridge while they ran dense
     src = str(Path(__file__).parents[1] / "src")
     outputs = []
     for kernel in blas_kernels():
@@ -499,8 +516,11 @@ def test_oracle_and_banded_output_do_not_depend_on_the_blas_kernel():
         oracle = [line for line in lines[verify:] if line.startswith("s2-oracle")]
         assert len(oracle) == 1 and "PASS" in oracle[0]
         outputs.append(lines[:verify] + oracle)
-    assert outputs[0][1:3] == (GOLDEN / "commutative_4_transpose.csv").read_text().splitlines()
+    golden = [(GOLDEN / name).read_text().splitlines()
+              for name in ("commutative_4_transpose.csv", "sweep_2_12.csv", "sweep_44_48.csv")]
+    assert outputs[0][1:3] == golden[0]
     assert outputs[0][3].startswith("N,sign,") and outputs[0][4].startswith("75,plus,")
+    assert outputs[0][5:] == golden[1] + golden[2] + outputs[0][-1:]
     assert all(out == outputs[0] for out in outputs)
 
 

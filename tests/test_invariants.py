@@ -51,14 +51,16 @@ def test_worst_puts_a_failing_record_before_a_larger_passing_one():
     assert worst([]).passed is True
 
 
-@pytest.mark.parametrize("banded", [False, True])
+@pytest.mark.parametrize("stacked", [False, True])
 @pytest.mark.parametrize("sign", [1, -1])
-def test_projector_from_a_wrong_kappa_fails_its_build_check(monkeypatch, banded, sign):
-    # coefficients from kappa * 1.05 make alpha + beta sigma.X fail p p = p
+def test_projector_from_a_wrong_kappa_fails_its_build_check(monkeypatch, stacked, sign):
+    # coefficients from kappa * 1.05 make alpha + beta sigma.X fail p p = p; N = 4
+    # alone or as the first block of a ladder, whose check names it first
     coefficients = bundles.projector_coefficients
     monkeypatch.setattr(bundles, "projector_coefficients",
                         lambda kappa, s: coefficients(kappa * 1.05, s))
-    coords = fuzzy_coordinates(SpinLabel.from_dimension(4), banded=banded)
+    spins = [SpinLabel.from_dimension(N) for N in ((4, 2) if stacked else (4,))]
+    coords = fuzzy_coordinates(*spins, banded=True)
     at = re.escape(" at N=4 sign=%+d" % sign)
     with pytest.raises(InvariantError, match=r"^projector residual \S+ exceeds 1e-12%s$" % at):
         bundles.build_fuzzy_projector(coords, sign)

@@ -93,3 +93,26 @@ def test_x3_spectrum_is_kappa_ladder():
     coords = fuzzy_coordinates(SpinLabel(4))  # j = 2
     expected = coords.kappa * np.array([2.0, 1.0, 0.0, -1.0, -2.0])
     assert np.allclose(np.diag(coords.X3), expected)
+
+
+def test_a_ladder_of_spins_stacks_each_irrep_and_coordinate_alone():
+    # between blocks J+ would take the next block's top m = j to m + 1, with
+    # sqrt(j(j+1) - m(m+1)) = 0 exactly, so each block is its spin's own
+    # representation and coordinates bit for bit, and nothing couples blocks
+    from banded_reference import toarray
+
+    spins = [SpinLabel(t) for t in (1, 4, 2, 9)]
+    coords = fuzzy_coordinates(*spins, banded=True)
+    assert coords.sizes.tolist() == [2, 5, 3, 10] and coords.N == 20
+    stacked = [toarray(m) for m in build_irrep(*spins, banded=True)]
+    stacked_x = [toarray(coords.axis(a)) for a in (1, 2, 3)]
+    start = 0
+    for spin in spins:
+        block = slice(start, start + spin.N)
+        alone = fuzzy_coordinates(spin)
+        assert np.array_equal(coords.kappa[block], np.full(spin.N, spin.kappa))
+        for a in range(3):
+            assert np.array_equal(stacked[a][block, block], build_irrep(spin)[a])
+            assert np.array_equal(stacked_x[a][block, block], alone.axis(a + 1))
+            assert not stacked[a][block, start + spin.N:].any()
+        start += spin.N
