@@ -3,10 +3,11 @@
 Forms of degree 0..3 carry coefficients in the basis one-forms theta^a dual
 to the derivations e_a = (1/kappa) ad X_a; the operators take the
 ``FuzzyCoordinates`` X_a as ``coords``. ``derive``, ``d0`` and ``d1`` act on
-N x N elements only. Coefficients are (n*N) x (n*N) matrices where n is the
-module rank (1 for scalar forms, 2 for projector-valued ones); products keep
-the noncommutative order. The coefficients are dense or ``Banded``, as the
-coordinates are.
+elements of the coordinates' dimension; on coordinates X_a (x) 1_n, with
+kappa repeated per module row, they act on the rank-n module. Coefficients
+are ``Banded`` (n*N) x (n*N) matrices where n is the module rank (1 for
+scalar forms, 2 for projector-valued ones); products keep the
+noncommutative order.
 
 ``BASIS`` holds the component order: the theta indices of each component,
 lexicographic in each degree, so degree 2 is theta^1^theta^2,
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .linalg import as_matrix, commutator, frobenius_norm, max_abs, partial_trace
+from .linalg import commutator, frobenius_norm, partial_trace
 
 __all__ = [
     "BASIS",
@@ -75,24 +76,20 @@ class GradedForm:
     def scale(self, c):
         return replace(self, components=tuple(c * comp for comp in self.components))
 
-    def norm(self, sizes=None):
-        """Hilbert-Schmidt norm summed over components; with ``sizes``, of each block."""
+    def norm(self, sizes):
+        """Hilbert-Schmidt norm of each block, summed over components."""
         return np.sqrt(sum(frobenius_norm(c, sizes) ** 2 for c in self.components))
-
-    def max_entry(self):
-        return max(max_abs(c) for c in self.components)
 
 
 def scalar_form(coeff, module_rank=1, algebra_dim=None):
     """Wrap a coefficient matrix as a degree-0 form."""
-    coeff = as_matrix(coeff)
     if algebra_dim is None:
         algebra_dim = coeff.shape[0] // module_rank
     return GradedForm(0, module_rank, algebra_dim, (coeff,))
 
 
 def derive(coords, axis, f):
-    """e_a(f) = (1/kappa) [X_a, f] on an N x N element f."""
+    """e_a(f) = (1/kappa) [X_a, f], kappa taken per row."""
     return commutator(coords.axis(axis), f) / coords.kappa
 
 

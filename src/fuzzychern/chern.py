@@ -58,28 +58,25 @@ def volume_form(coords):
     eps_efg X_f X_g = i kappa X_e and sum_a X_a^2 = 1, gives
     T_de = -(i kappa X_d X_e + eps_deg X_g). The theta^d ^ theta^e component
     (d < e) is T_de - T_ed = -(i kappa [X_d, X_e] + 2 eps_deg X_g)
-    = (kappa^2 - 2) eps_deg X_g. So omega takes no matrix product, dense or
-    banded.
+    = (kappa^2 - 2) eps_deg X_g. So omega takes no matrix product.
     """
     lam = (coords.kappa**2 - 2.0) / (8.0 * np.pi)
     return GradedForm(2, 1, coords.N, tuple(s * lam * coords.axis(c) for _, _, c, s in EPS_ROWS))
 
 
-def extract_coefficient(F, omega, sizes=None):
-    """Least-squares scalar lambda with F ~ lambda * omega, plus the residual.
+def extract_coefficient(F, omega, sizes):
+    """Least-squares scalar lambda with F ~ lambda * omega on each block of a
+    ladder of the given ``sizes``, plus the residual of each block.
 
     lambda = <omega, F> / <omega, omega> over the Hilbert-Schmidt inner
     product summed across the three components; residual = |F - lambda
     omega| / |omega| in the same norm. Both are scalar-valued two-forms, and
     omega never vanishes: its lam = (kappa^2 - 2) / (8 pi) has kappa^2 <= 4/3.
-    With the block ``sizes`` of a ladder, each block gets its own lambda and
-    residual.
     """
     denom = sum(hs_inner(w, w, sizes).real for w in omega.components)
     num = sum(hs_inner(w, f, sizes) for w, f in zip(omega.components, F.components))
     lam = num / denom
-    rows = lam if sizes is None else lam.repeat(sizes)
-    residual = (F - omega.scale(rows)).norm(sizes) / omega.norm(sizes)
+    residual = (F - omega.scale(lam.repeat(sizes))).norm(sizes) / omega.norm(sizes)
     return lam, residual
 
 
@@ -116,7 +113,7 @@ def chern_number(projector, coords, omega, w=None):
 def _batch_reports(n_values, signs):
     """Reports for each N of one batch and each sign, from one set of stacked
     operators that is freed before the next batch is built."""
-    coords = fuzzy_coordinates(*map(SpinLabel.from_dimension, n_values), banded=True)
+    coords = fuzzy_coordinates(*map(SpinLabel.from_dimension, n_values))
     omega, q, w = volume_form(coords), sigma_dot_x(coords), dq_wedge_dq(coords)
     per_sign = [chern_number(build_fuzzy_projector(coords, s, sigma_x=q), coords, omega, w)
                 for s in signs]

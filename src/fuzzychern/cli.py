@@ -1,7 +1,9 @@
 """Command-line interface: single reports, sweeps, the classical oracle,
 and the full invariant suite.
 
-Exit codes: 0 success, 1 invariant/integrity failure, 2 usage error.
+Exit codes: 0 success, 1 invariant/integrity failure or a stdout closed
+before the output was written (as in ``fuzzychern verify | head -1``), 2
+usage error.
 """
 
 import argparse
@@ -13,14 +15,14 @@ from itertools import chain
 
 import numpy as np
 
-from .bundles import PAULI, projector_coefficients, sigma_dot_x
-from .calculus import EPS_ROWS, d0, d1, derive, scalar_form, wedge
+from .bundles import PAULI, build_fuzzy_projector, dq, projector_coefficients, sigma_dot_x
+from .calculus import EPS_ROWS, d0, d1, derive
 from .chern import REPORT_BYTES_PER_N, gamma_formula, reports_for, sweep
 from .invariants import InvariantError, check, worst
 from .linalg import Banded, commutator, frobenius_norm, kron, max_abs, normalized_trace
 from .sphere_oracle import (MAX_TENSOR_POWER, NODE_BYTES, build_quadrature,
                             chern_number_commutative, volume_check)
-from .su2 import SpinLabel, fuzzy_coordinates
+from .su2 import FuzzyCoordinates, SpinLabel, fuzzy_coordinates
 
 # column header -> ChernReport attribute
 REPORT_COLUMNS = {c: c for c in ("N", "sign", "ch0", "c1_computed", "gamma_formula", "abs_error")}
@@ -124,63 +126,77 @@ def _verify_ladder(max_n):
     return ns
 
 
-def _verify_suites(max_n):
-    """Yield (suite_name, check records) for every invariant suite."""
+def _ladder_suites(max_n):
+    """The records of the linalg-core, su2-repr, diff-calculus and covariance
+    suites, each taken per block of one banded ladder of N = 2..8 and max_n,
+    stacked as reports_for stacks them, so max_n costs O(max_n) memory. Only
+    the records outlive the call."""
+    spins = [SpinLabel(twice_j) for twice_j in list(range(1, 8)) + [max_n - 1]]
+    coords = fuzzy_coordinates(*spins)
+    sizes, kap, xs = coords.sizes, coords.kappa, [coords.X1, coords.X2, coords.X3]
+    ats, one = ["N=%d" % N for N in sizes.tolist()], Banded.from_diagonals(coords.N, {0: 1.0})
     # seeded stdlib bits, which import numpy has loaded, where numpy.random costs 6 MB
     gen = random.Random(7)
 
     def rand(n):
-        """n x n, real and imaginary parts uniform on [-1, 1) at 53 bits."""
-        z = (np.frombuffer(gen.randbytes(16 * n * n), "<u8") >> 11) * 2.0**-52 - 1.0
-        return (z[:n * n] + 1j * z[n * n:]).reshape(n, n)
+        """n complex numbers, real and imaginary parts uniform on [-1, 1) at 53 bits."""
+        z = (np.frombuffer(gen.randbytes(16 * n), "<u8") >> 11) * 2.0**-52 - 1.0
+        return z[:n] + 1j * z[n:]
 
-    # linalg
-    a, b, c = rand(8), rand(8), rand(3)
-    tr_ab, abc = np.trace(a @ b), kron(kron(a, b), c)
-    yield "linalg-core", [
-        check("linalg-trace", abs(tr_ab - np.trace(b @ a)) / abs(tr_ab), "8x8 a, b"),
-        check("linalg-kron", frobenius_norm(abc - kron(a, kron(b, c))) / frobenius_norm(abc),
-              "8x8 a, b, 3x3 c")]
-    del abc  # the 192x192 product is not kept alive while the later suites run
+    def records(stage, residuals, scale=1.0):
+        return [check(stage, r, at) for rs in residuals for r, at in zip((rs / scale).tolist(), ats)]
+
+    # linalg: traces of products of block-diagonal operands, the coordinates with
+    # random rows, and kron of X_3 with small dense factors b and c, each block
+    # relative to its own size
+    a, b = rand(coords.N) * xs[0], rand(coords.N) * xs[1]
+    tr_ab = normalized_trace(a @ b, sizes)
+    small_b, small_c = rand(4).reshape(2, 2), rand(4).reshape(2, 2)
+    abc = kron(kron(xs[2], small_b), small_c)
+    kron_norm = frobenius_norm(abc, 4 * sizes)
+    linalg = (records("linalg-trace", [abs(tr_ab - normalized_trace(b @ a, sizes)) / abs(tr_ab)])
+              + records("linalg-kron", [frobenius_norm(abc - kron(xs[2], np.kron(small_b, small_c)),
+                                                       4 * sizes) / kron_norm]))
+    del a, b, abc  # the operands are not kept alive while the later checks run
 
     # su2 / coordinates, and the covariance max_b |[p, L_b]| / (N/2) of the
     # projector p = alpha + beta sigma.X on them, L_b = 1 (x) S_b + X_b / kappa (x) 1:
-    # [p, L_b] = beta [sigma.X, L_b], and |beta| is the same on both sign branches.
-    # One banded ladder of N = 2..8 and max_n, as reports_for stacks them, so max_n
-    # costs O(max_n) memory; each residual is taken per block
-    spins = [SpinLabel(twice_j) for twice_j in list(range(1, 8)) + [max_n - 1]]
-    coords = fuzzy_coordinates(*spins, banded=True)
-    sizes, kap, xs = coords.sizes, coords.kappa, [coords.X1, coords.X2, coords.X3]
-    ats, one = ["N=%d" % N for N in sizes.tolist()], Banded.from_diagonals(coords.N, {0: 1.0})
+    # [p, L_b] = beta [sigma.X, L_b], and |beta| is the same on both sign branches
     residuals = [max_abs(commutator(xs[a - 1], xs[b - 1]) - 1j * kap * s * xs[c - 1], sizes)
                  for a, b, c, s in EPS_ROWS] + [abs(normalized_trace(x, sizes)) for x in xs]
     residuals.append(max_abs(xs[0] @ xs[0] + xs[1] @ xs[1] + xs[2] @ xs[2] - one, sizes))
-    su2 = [check("su2-repr", r, at) for rs in residuals for r, at in zip(rs.tolist(), ats)]
-    sigma_x = sigma_dot_x(coords)
+    q = sigma_dot_x(coords)
     beta = abs(projector_coefficients(np.array([s.kappa for s in spins]), 1)[1])
-    commuted = [max_abs(commutator(sigma_x, kron(one, s / 2) + kron(x / kap, np.eye(2))), 2 * sizes)
+    commuted = [beta * max_abs(commutator(q, kron(one, s / 2) + kron(x / kap, np.eye(2))), 2 * sizes)
                 for s, x in zip(PAULI, xs)]
-    covariance = [check("covariance", r, at) for c in commuted
-                  for r, at in zip((beta * c / (sizes / 2)).tolist(), ats)]
-    yield "su2-repr", su2
 
-    # calculus
-    calculus = []
-    for N in (2, 3, 4, 8):
-        coords, at = fuzzy_coordinates(SpinLabel.from_dimension(N)), "N=%d" % N
-        for _ in range(5):
-            f, g = rand(N), rand(N)
-            df = d0(coords, f)
-            residuals = [d1(coords, df).max_entry() / frobenius_norm(f)]
-            leib = d0(coords, f @ g) - (wedge(df, scalar_form(g))
-                                        + wedge(scalar_form(f), d0(coords, g)))
-            residuals.append(leib.max_entry())
-            e = df.components  # e_a(f) for a = 1, 2, 3
-            for a, b, c, s in EPS_ROWS:
-                br = derive(coords, a, e[b - 1]) - derive(coords, b, e[a - 1]) - 1j * s * e[c - 1]
-                residuals.append(np.max(np.abs(br)))
-            calculus += [check("diff-calculus", r, at) for r in residuals]
-    yield "diff-calculus", calculus
+    # calculus on the report's own operators: derive, d0 and d1 act on the module
+    # C^N (x) C^2 through the coordinates X_a (x) 1 with kappa per module row.
+    # e_b(Q) = dQ_b, d(dQ) = 0, and e_b(p p) = e_b(p) p + p e_b(p) for each sign's
+    # p, one b at a time, which keeps the largest temporaries to one component.
+    # Each residual is divided by N/2: e_b = (1/kappa) ad X_b amplifies roundoff by about N/2
+    module = FuzzyCoordinates(coords.spins, kap.repeat(2), *(kron(x, np.eye(2)) for x in xs))
+    dq_form = dq(coords)
+    calculus = [np.maximum.reduce([max_abs(c, 2 * sizes) for c in form.components])
+                for form in (d0(module, q) - dq_form, d1(module, dq_form))]
+    del dq_form
+    for sign in (1, -1):
+        p = build_fuzzy_projector(coords, sign, sigma_x=q).realization
+        pp = p @ p
+        for b in (1, 2, 3):
+            e = derive(module, b, p)
+            calculus.append(max_abs(derive(module, b, pp) - (e @ p + p @ e), 2 * sizes))
+    return {"linalg-core": linalg, "su2-repr": records("su2-repr", residuals),
+            "diff-calculus": records("diff-calculus", calculus, sizes / 2),
+            "covariance": records("covariance", commuted, sizes / 2)}
+
+
+def _verify_suites(max_n):
+    """Yield (suite_name, check records) for every invariant suite."""
+    suites = _ladder_suites(max_n)
+    yield "linalg-core", suites["linalg-core"]
+    yield "su2-repr", suites["su2-repr"]
+    yield "diff-calculus", suites["diff-calculus"]
 
     # projectors (idempotency / self-adjointness / rank component), fuzzy
     # charges and their commutative limit, from one report per (N, sign) on
@@ -190,7 +206,7 @@ def _verify_suites(max_n):
     ats = ["N=%d sign=%+d" % (r.N, s) for r, s in zip(reports, signs)]
     yield "bundles", [check("projector", res, at) for r, s, at in zip(reports, signs, ats)
                       for res in (r.projector_residual, abs(r.ch0 - (1.0 + s / r.N)))]
-    yield "covariance", covariance
+    yield "covariance", suites["covariance"]
     yield "chern-integration", [check("chern-integration", res, at) for r, at in zip(reports, ats)
                                 for res in (r.abs_error, r.proportionality_residual)]
 
@@ -273,9 +289,16 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = parser.parse_args(argv)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: point stdout at os.devnull, so the flush at exit
+        # does not raise again (the recipe of Python's signal documentation)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

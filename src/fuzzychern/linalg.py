@@ -1,14 +1,13 @@
-"""Complex linear algebra helpers on dense and banded matrices.
+"""Complex linear algebra on ``Banded`` matrices.
 
 Thin wrappers around numpy that fix the conventions used everywhere else:
 complex128 storage, Hilbert-Schmidt inner products, normalized traces.
-Every helper takes either a dense ndarray or a ``Banded`` matrix and returns
-the same kind, so the calculus built on them runs unchanged on both. The
-helpers trust their callers on shapes; only ``kron`` coerces other input.
+Every operator is a ``Banded`` matrix; the only dense ones are the small
+right factors of ``kron``. The helpers trust their callers on shapes.
 
 A block-diagonal ``Banded`` matrix stacks several operators, one block
-each. Given the block ``sizes``, the trace, the inner product, the norm and
-the largest modulus reduce each block alone, with the same arithmetic
+each. The trace, the inner product, the norm and the largest modulus take
+the block ``sizes`` and reduce each block alone, with the same arithmetic
 whatever the other blocks hold, and return one value per block.
 """
 
@@ -16,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "Banded",
-    "as_matrix",
     "kron",
     "commutator",
     "normalized_trace",
@@ -41,7 +39,7 @@ class Banded:
     per row: ``c * A`` is diag(c) A, with A's diagonals kept, as a nonzero
     scalar keeps them. Other matrices must be ``Banded``.
     Traces, inner products, norms, ``kron`` and the module partial trace are
-    the functions of this module, which take dense and banded operands.
+    the functions of this module.
     """
 
     __array_ufunc__ = None  # ndarray (op) Banded raises TypeError, never broadcasts
@@ -141,23 +139,12 @@ class Banded:
         return Banded._nonzero(-self.offsets[::-1], data)
 
 
-def as_matrix(a):
-    """Coerce input to a complex128 ndarray; a Banded matrix passes through."""
-    if isinstance(a, Banded):
-        return a
-    return np.asarray(a, dtype=np.complex128)
-
-
 def kron(a, b):
-    """Kronecker product with complex128 output.
+    """Kronecker product of a Banded ``a`` and a small dense square ``b``, Banded.
 
-    ``a`` may be Banded when ``b`` is a small dense factor; the result is then
-    Banded. Entry b[s, t] puts diagonal o of a at offset r o + (t - s), so the
+    Entry b[s, t] puts diagonal o of a at offset r o + (t - s), so the
     result's offsets follow from a's and not from its dimension.
     """
-    a, b = as_matrix(a), as_matrix(b)
-    if not isinstance(a, Banded):  # np.kron's products, without its overhead
-        return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
     r, n = b.shape[0], a.shape[0]
     # a[i, i + o] b[s, t] sits at row i r + s, column (i + o) r + t: each row s
     # and offset take at most one (t, o), so every entry is written once
@@ -183,45 +170,32 @@ def _block_sums(rows, sizes):
     return np.add.reduceat(np.add.reduce(rows, axis=0), np.add.accumulate(sizes) - sizes)
 
 
-def normalized_trace(a, sizes=None):
-    """(1/N) tr a for a square N x N matrix; with ``sizes``, of each block of a Banded a."""
-    if sizes is not None:
-        return _block_sums(a.data[a.offsets == 0], sizes) / sizes
-    if isinstance(a, Banded):
-        return complex(np.add.reduce(a.data[a.offsets == 0], axis=None)) / a.shape[0]
-    return complex(np.trace(a)) / a.shape[0]
+def normalized_trace(a, sizes):
+    """(1/N) tr of each N x N block of a."""
+    return _block_sums(a.data[a.offsets == 0], sizes) / sizes
 
 
-def hs_inner(a, b, sizes=None):
-    """Hilbert-Schmidt inner product tr(a^dagger b) of two dense or two Banded matrices;
-    with ``sizes``, of each block of two Banded ones."""
-    if isinstance(a, Banded):
-        ours, theirs = a.offsets.tolist(), b.offsets.tolist()
-        # both offsets are sorted, so the common diagonals come in the same order
-        common = set(ours) & set(theirs) if ours != theirs else None
-        a, b = (m.data if common is None else m.data[[o in common for o in offs]]
-                for m, offs in ((a, ours), (b, theirs)))
-    if sizes is not None:
-        return _block_sums(np.conj(a) * b, sizes)
-    return complex(np.add.reduce(np.conj(a) * b, axis=None))
+def hs_inner(a, b, sizes):
+    """Hilbert-Schmidt inner product tr(a^dagger b) of each block."""
+    ours, theirs = a.offsets.tolist(), b.offsets.tolist()
+    # both offsets are sorted, so the common diagonals come in the same order
+    common = set(ours) & set(theirs) if ours != theirs else None
+    a, b = (m.data if common is None else m.data[[o in common for o in offs]]
+            for m, offs in ((a, ours), (b, theirs)))
+    return _block_sums(np.conj(a) * b, sizes)
 
 
-def frobenius_norm(a, sizes=None):
-    """sqrt(sum |a_ij|^2) by elementwise sums, not a BLAS dot: kernel-independent;
-    with ``sizes``, of each block of a Banded a."""
-    x = np.ascontiguousarray(a.data if isinstance(a, Banded) else a).view(np.float64)
-    if sizes is not None:  # x holds re, im, re, ..., two columns per row
-        return np.sqrt(_block_sums(x * x, 2 * np.asarray(sizes)))
-    return float(np.sqrt(np.add.reduce(x * x, axis=None)))
+def frobenius_norm(a, sizes):
+    """sqrt(sum |a_ij|^2) of each block, by elementwise sums, not a BLAS dot:
+    kernel-independent."""
+    x = np.ascontiguousarray(a.data).view(np.float64)  # re, im, re, ...: two columns per row
+    return np.sqrt(_block_sums(x * x, 2 * np.asarray(sizes)))
 
 
-def max_abs(a, sizes=None):
-    """Largest entry modulus; with ``sizes``, of each block of a Banded a."""
-    x = np.abs(a.data if isinstance(a, Banded) else a)
-    if sizes is not None:
-        x = np.maximum.reduce(x, axis=0, initial=0.0)
-        return np.maximum.reduceat(x, np.add.accumulate(sizes) - sizes)
-    return float(np.maximum.reduce(x, axis=None, initial=0.0))
+def max_abs(a, sizes):
+    """Largest entry modulus of each block."""
+    x = np.maximum.reduce(np.abs(a.data), axis=0, initial=0.0)
+    return np.maximum.reduceat(x, np.add.accumulate(sizes) - sizes)
 
 
 def partial_trace(a, r):

@@ -50,14 +50,13 @@ class SpinLabel:
         return cls(twice_j=N - 1)
 
 
-def build_irrep(*spins, banded=False):
+def build_irrep(*spins):
     """Return (J1, J2, J3) of the irreducible spin-j representation of each
-    spin, stacked block-diagonally in order.
+    spin, stacked block-diagonally in order, as ``Banded`` matrices.
 
     J3 is diagonal with entries j, j-1, ..., -j; ladder matrix elements use
     the Condon-Shortley convention <m+1|J+|m> = sqrt(j(j+1) - m(m+1)), which
     is 0 between blocks, where m+1 is the next block's top m = j.
-    With ``banded`` the matrices are ``Banded``, otherwise dense.
     """
     sizes = np.array([s.N for s in spins])
     j = ((sizes - 1) / 2.0).repeat(sizes)
@@ -65,13 +64,8 @@ def build_irrep(*spins, banded=False):
     N = len(m)
     # J+ |m> = sqrt(j(j+1) - m(m+1)) |m+1>; row index m+1 sits above row m
     ladder = np.sqrt(j[1:] * (j[1:] + 1.0) - m[1:] * (m[1:] + 1.0))
-    if banded:
-        jz = Banded.from_diagonals(N, {0: m})
-        jplus = Banded.from_diagonals(N, {1: ladder})
-    else:
-        jz = np.diag(m.astype(np.complex128))
-        jplus = np.zeros((N, N), dtype=np.complex128)
-        jplus[np.arange(N - 1), np.arange(1, N)] = ladder
+    jz = Banded.from_diagonals(N, {0: m})
+    jplus = Banded.from_diagonals(N, {1: ladder})
     jminus = jplus.conj().T
     j1 = (jplus + jminus) / 2.0
     j2 = (jplus - jminus) / 2.0j
@@ -81,9 +75,9 @@ def build_irrep(*spins, banded=False):
 @dataclass(frozen=True)
 class FuzzyCoordinates:
     """The three coordinates X_a = kappa * J_a of the fuzzy sphere of each
-    spin, stacked block-diagonally in the order of ``spins``, as dense ndarrays
-    or as ``Banded`` matrices. ``kappa`` holds the kappa of each row's block,
-    so a vector of one value per row scales each block by its own."""
+    spin, stacked block-diagonally in the order of ``spins``, as ``Banded``
+    matrices. ``kappa`` holds the kappa of each row's block, so a vector of
+    one value per row scales each block by its own."""
 
     spins: tuple
     kappa: object = field(repr=False)
@@ -106,8 +100,8 @@ class FuzzyCoordinates:
         return (self.X1, self.X2, self.X3)[a - 1]
 
 
-def fuzzy_coordinates(*spins, banded=False):
-    """Build the fuzzy coordinates of the given spins, dense or ``banded``."""
+def fuzzy_coordinates(*spins):
+    """Build the fuzzy coordinates of the given spins."""
     kappa = np.array([s.kappa for s in spins]).repeat([s.N for s in spins])
-    j1, j2, j3 = build_irrep(*spins, banded=banded)
+    j1, j2, j3 = build_irrep(*spins)
     return FuzzyCoordinates(spins, kappa, kappa * j1, kappa * j2, kappa * j3)

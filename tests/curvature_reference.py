@@ -3,8 +3,8 @@ beta^2 p (dQ ^ dQ) from a dQ ^ dQ that both signs share.
 
 ``curvature`` is p (dp)(dp) through the derivations, dp = d0(p) with
 e_a(p) = (1/kappa) [X_a (x) 1_n, p]. Here ``derive`` and ``d0`` act on the
-rank-n module, and ``curvature`` takes any square n*N matrix, checked for
-idempotency, so the tests can feed it projectors that are not a
+rank-n module, and ``curvature`` takes any square ``Banded`` n*N matrix,
+checked for idempotency, so the tests can feed it projectors that are not a
 ``FuzzyProjector``. The division by kappa ~ 2/N makes its roundoff grow
 about as N.
 
@@ -17,12 +17,12 @@ import numpy as np
 
 from fuzzychern.bundles import PAULI
 from fuzzychern.calculus import GradedForm, module_trace, scalar_form, wedge
-from fuzzychern.linalg import Banded, as_matrix, commutator, kron, max_abs
+from fuzzychern.linalg import Banded, commutator, kron
+from dense_reference import max_abs
 
 
 def derive(coords, axis, f):
     """e_a(f) = (1/kappa) [X_a (x) 1_n, f] on an element f of the rank-n module."""
-    f = as_matrix(f)
     if f.shape[0] != f.shape[1] or f.shape[0] % coords.N != 0:
         raise ValueError("derive needs a square n*N matrix, got %s" % (f.shape,))
     n = f.shape[0] // coords.N
@@ -38,7 +38,6 @@ def d0(coords, f):
 
 def curvature(coords, p):
     """p (dp)(dp) of an idempotent matrix p on the rank-n module."""
-    p = as_matrix(p)
     if max_abs(p @ p - p) > 1e-10:
         raise ValueError("curvature needs an idempotent input")
     dp = d0(coords, p)

@@ -4,22 +4,24 @@ X (x) sigma and stack a ladder of N block-diagonally.
 
 This is the pipeline the program ran on dense matrices up to N = 45: Q, p,
 dQ and F = beta^2 p (dQ ^ dQ) are numpy products on one N, and the module
-trace sums the two N x N diagonal blocks. Only ``wedge``, the scalar
-``extract_coefficient`` and the volume form come from the program.
+trace sums the two N x N diagonal blocks. Only ``wedge`` and the volume form
+come from the program; the coordinates and the least-squares fit are the
+dense ones of ``dense_reference``.
 """
 
 import numpy as np
 
 from fuzzychern.bundles import PAULI, projector_coefficients
 from fuzzychern.calculus import GradedForm, scalar_form, wedge
-from fuzzychern.chern import ChernReport, extract_coefficient, gamma_formula, volume_form
-from fuzzychern.su2 import SpinLabel, fuzzy_coordinates
+from fuzzychern.chern import ChernReport, gamma_formula, volume_form
+from fuzzychern.su2 import SpinLabel
+from dense_reference import dense_coordinates, extract_coefficient
 
 
 def dense_report(N, sign):
     """The ``ChernReport`` of (N, sign), every product a dense one."""
     spin = SpinLabel.from_dimension(N)
-    coords = fuzzy_coordinates(spin)
+    coords = dense_coordinates(spin)
     xs = (coords.X1, coords.X2, coords.X3)
     alpha, beta = projector_coefficients(spin.kappa, sign)
     p = alpha * np.eye(2 * N) + beta * sum(np.kron(s, x) for s, x in zip(PAULI, xs))

@@ -12,7 +12,6 @@ from fuzzychern.bundles import (
 )
 from fuzzychern.calculus import d0, d1, derive, scalar_form, wedge
 from fuzzychern.chern import gamma_formula, report_for
-from fuzzychern.linalg import frobenius_norm
 from fuzzychern.sphere_oracle import (
     build_quadrature,
     chern_number_commutative,
@@ -20,6 +19,7 @@ from fuzzychern.sphere_oracle import (
 )
 from fuzzychern.su2 import SpinLabel, fuzzy_coordinates
 import curvature_reference as reference
+from dense_reference import dense_coordinates, frobenius_norm, max_entry
 from oracle_reference import curvature_density
 
 rng = np.random.default_rng(20240817)
@@ -56,7 +56,7 @@ def test_criterion_2_curvature_proportionality():
 def test_criterion_3_projector_identities():
     worst = 0.0
     # the ladder N = 2..64 stacked as one banded operator; each block has its residuals
-    coords = fuzzy_coordinates(*map(SpinLabel.from_dimension, range(2, 65)), banded=True)
+    coords = fuzzy_coordinates(*map(SpinLabel.from_dimension, range(2, 65)))
     for sign in (1, -1):
         p = build_fuzzy_projector(coords, sign)
         worst = max(
@@ -90,11 +90,11 @@ def test_criterion_5_calculus_laws():
     worst_d2 = worst_bracket = worst_sandwich = 0.0
     pairs = {(1, 2): (3, 1), (2, 3): (1, 1), (1, 3): (2, -1)}
     for N in (2, 3, 4, 8):
-        coords = fuzzy_coordinates(SpinLabel.from_dimension(N))
+        coords = dense_coordinates(SpinLabel.from_dimension(N))
         for _ in range(20):
             f = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
             worst_d2 = max(
-                worst_d2, d1(coords, d0(coords, f)).max_entry() / frobenius_norm(f)
+                worst_d2, max_entry(d1(coords, d0(coords, f))) / frobenius_norm(f)
             )
             for (a, b), (c, s) in pairs.items():
                 res = (
@@ -103,13 +103,13 @@ def test_criterion_5_calculus_laws():
                     - 1j * s * derive(coords, c, f)
                 )
                 worst_bracket = max(worst_bracket, np.max(np.abs(res)))
-        banded = fuzzy_coordinates(SpinLabel.from_dimension(N), banded=True)
+        banded = fuzzy_coordinates(SpinLabel.from_dimension(N))
         for sign in (1, -1):
             p = build_fuzzy_projector(banded, sign).realization
             pform = scalar_form(p, module_rank=2, algebra_dim=N)
             worst_sandwich = max(
                 worst_sandwich,
-                wedge(pform, wedge(reference.d0(banded, p), pform)).max_entry(),
+                max_entry(wedge(pform, wedge(reference.d0(banded, p), pform))),
             )
     # Bott projector: analytic chart derivatives (p is affine in x)
     worst_bott = 0.0

@@ -15,6 +15,7 @@ from fuzzychern.linalg import Banded, commutator, kron, max_abs
 from fuzzychern.su2 import SpinLabel, fuzzy_coordinates
 import curvature_reference as reference
 from banded_reference import toarray
+from dense_reference import max_entry
 from oracle_reference import (
     OffSphereError,
     PointOnSphere,
@@ -64,7 +65,7 @@ def test_solve_params_commutative_limit():
 
 def banded_coordinates(*n_values):
     """The Banded coordinates of a ladder of N, stacked as reports stack them."""
-    return fuzzy_coordinates(*map(SpinLabel.from_dimension, n_values), banded=True)
+    return fuzzy_coordinates(*map(SpinLabel.from_dimension, n_values))
 
 
 def test_fuzzy_projector_n2_plus():
@@ -144,11 +145,8 @@ def test_curvature_of_projector_equals_curvature_of_its_matrix(stacked):
 
 
 def same_matrix(a, b):
-    """Equal bit for bit; banded, also in the stored diagonals."""
-    if isinstance(a, Banded) or isinstance(b, Banded):
-        return (isinstance(a, Banded) and isinstance(b, Banded)
-                and np.array_equal(a.offsets, b.offsets) and np.array_equal(a.data, b.data))
-    return np.array_equal(a, b)
+    """Equal bit for bit, in the stored diagonals."""
+    return np.array_equal(a.offsets, b.offsets) and np.array_equal(a.data, b.data)
 
 
 @pytest.mark.parametrize("stacked", [False, True])
@@ -160,20 +158,19 @@ def test_shared_curvature_matches_the_per_sign_spin_factor_form(stacked):
         for sign in (1, -1):
             proj = build_fuzzy_projector(coords, sign)
             shared = curvature(coords, proj, w)
-            assert (shared - reference.spin_factor_curvature(coords, proj)).max_entry() <= 4e-16
+            assert max_entry(shared - reference.spin_factor_curvature(coords, proj)) <= 4e-16
             built_inside = curvature(coords, proj).components
             assert all(same_matrix(a, b) for a, b in zip(shared.components, built_inside))
 
 
 @pytest.mark.parametrize("N", list(range(2, 60)) + [256, 1000])
 def test_dq_from_kron_equals_the_commutator_with_the_spin_factor(N):
-    # dQ_b = i eps_abc X_a (x) sigma_c is [Q, 1 (x) S_b] bit for bit, dense and banded
-    for banded in (False, True) if N < 60 else (True,):
-        coords = fuzzy_coordinates(SpinLabel.from_dimension(N), banded=banded)
-        q = sigma_dot_x(coords)
-        one = Banded.from_diagonals(N, {0: 1.0}) if banded else np.eye(N)
-        for d, s in zip(dq(coords).components, PAULI):
-            assert same_matrix(d, commutator(q, kron(one, s / 2)))
+    # dQ_b = i eps_abc X_a (x) sigma_c is [Q, 1 (x) S_b] bit for bit
+    coords = fuzzy_coordinates(SpinLabel.from_dimension(N))
+    q = sigma_dot_x(coords)
+    one = Banded.from_diagonals(N, {0: 1.0})
+    for d, s in zip(dq(coords).components, PAULI):
+        assert same_matrix(d, commutator(q, kron(one, s / 2)))
 
 
 def test_bott_projector_north_pole():
@@ -226,13 +223,13 @@ def test_tensor_power_bounds():
 
 def test_curvature_of_identity_vanishes():
     coords = fuzzy_coordinates(SpinLabel.from_dimension(3))
-    assert reference.curvature(coords, np.eye(3)).max_entry() == 0.0
+    assert max_entry(reference.curvature(coords, Banded.from_diagonals(3, {0: 1.0}))) == 0.0
 
 
 def test_curvature_rejects_non_idempotent():
     coords = fuzzy_coordinates(SpinLabel.from_dimension(3))
     with pytest.raises(ValueError):
-        reference.curvature(coords, 0.3 * np.eye(3))
+        reference.curvature(coords, Banded.from_diagonals(3, {0: 0.3}))
 
 
 @pytest.mark.parametrize("N", [2, 3, 5, 8])
@@ -242,7 +239,7 @@ def test_p_dp_p_vanishes(N, sign):
     p = build_fuzzy_projector(coords, sign).realization
     pform = scalar_form(p, module_rank=2, algebra_dim=N)
     sandwich = wedge(pform, wedge(reference.d0(coords, p), pform))
-    assert sandwich.max_entry() <= 1e-12
+    assert max_entry(sandwich) <= 1e-12
 
 
 def test_transposed_fuzzy_projector_experiment():
@@ -252,7 +249,7 @@ def test_transposed_fuzzy_projector_experiment():
 
     coords = banded_coordinates(4)
     pt = build_fuzzy_projector(coords, 1).realization.T
-    assert max_abs(pt @ pt - pt) <= 1e-12
+    assert max_abs(pt @ pt - pt, 2 * coords.sizes) <= 1e-12
     _, residual = extract_coefficient(reference.chern_character_form(coords, pt),
-                                      volume_form(coords))
+                                      volume_form(coords), coords.sizes)
     assert residual <= 1e-10

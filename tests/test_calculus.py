@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import calculus_reference as reference
+import curvature_reference
+from fuzzychern.bundles import dq, sigma_dot_x
 from fuzzychern.calculus import (
     BASIS,
     EPS_ROWS,
@@ -17,9 +19,10 @@ from fuzzychern.calculus import (
     wedge,
 )
 from fuzzychern.calculus import _parity
-from fuzzychern.linalg import Banded, frobenius_norm, kron
-from fuzzychern.su2 import SpinLabel, fuzzy_coordinates
+from fuzzychern.linalg import Banded, kron, max_abs
+from fuzzychern.su2 import FuzzyCoordinates, SpinLabel, fuzzy_coordinates
 from banded_reference import toarray
+from dense_reference import dense_coordinates, frobenius_norm, max_entry
 from volume_reference import zero_form
 
 rng = np.random.default_rng(99)
@@ -31,7 +34,8 @@ def randc(n):
 
 @pytest.fixture(params=[2, 3, 4, 8])
 def coords(request):
-    return fuzzy_coordinates(SpinLabel.from_dimension(request.param))
+    # dense, so the derivations act on random dense elements
+    return dense_coordinates(SpinLabel.from_dimension(request.param))
 
 
 def one_form(coords, c1, c2, c3):
@@ -67,7 +71,7 @@ def test_d0_of_coordinate(coords):
 
 
 def test_d0_of_identity(coords):
-    assert d0(coords, np.eye(coords.N)).max_entry() == 0.0
+    assert max_entry(d0(coords, np.eye(coords.N))) == 0.0
 
 
 def test_d0_leibniz(coords):
@@ -75,13 +79,13 @@ def test_d0_leibniz(coords):
         f, g = randc(coords.N), randc(coords.N)
         lhs = d0(coords, f @ g)
         rhs = wedge(d0(coords, f), scalar_form(g)) + wedge(scalar_form(f), d0(coords, g))
-        assert (lhs - rhs).max_entry() <= 1e-10
+        assert max_entry(lhs - rhs) <= 1e-10
 
 
 def test_d_squared_vanishes(coords):
     for _ in range(20):
         f = randc(coords.N)
-        assert d1(coords, d0(coords, f)).max_entry() <= 1e-12 * frobenius_norm(f)
+        assert max_entry(d1(coords, d0(coords, f))) <= 1e-12 * frobenius_norm(f)
 
 
 def test_d1_hand_example(coords):
@@ -95,14 +99,14 @@ def test_d1_hand_example(coords):
 
 
 def test_d1_of_zero(coords):
-    assert d1(coords, zero_form(1, 1, coords.N)).max_entry() == 0.0
+    assert max_entry(d1(coords, zero_form(1, 1, coords.N))) == 0.0
 
 
 def test_wedge_theta_squared_vanishes(coords):
     i = np.eye(coords.N, dtype=complex)
     z = np.zeros_like(i)
     th1 = one_form(coords, i, z, z)
-    assert wedge(th1, th1).max_entry() == 0.0
+    assert max_entry(wedge(th1, th1)) == 0.0
 
 
 def test_wedge_cross_component(coords):
@@ -119,7 +123,7 @@ def test_wedge_noncommutative_cross_terms(coords):
     f, g = randc(coords.N), randc(coords.N)
     z = np.zeros_like(f)
     # f theta^1 ^ g theta^1 = 0 even though fg != gf
-    assert wedge(one_form(coords, f, z, z), one_form(coords, g, z, z)).max_entry() <= 1e-13
+    assert max_entry(wedge(one_form(coords, f, z, z), one_form(coords, g, z, z))) <= 1e-13
     # symmetrized cross term picks up the commutator
     left = wedge(one_form(coords, f, z, z), one_form(coords, z, g, z))
     right = wedge(one_form(coords, z, g, z), one_form(coords, f, z, z))
@@ -154,7 +158,7 @@ def test_module_trace_identity_factor(coords):
 def test_module_trace_traceless_factor(coords):
     s3 = np.diag([1.0 + 0j, -1.0])
     form = GradedForm(1, 2, coords.N, (kron(full_banded(coords.N), s3),) * 3)
-    assert module_trace(form).max_entry() <= 1e-13
+    assert max_entry(module_trace(form)) <= 1e-13
 
 
 def test_module_trace_rank_one_is_identity(coords):
@@ -226,7 +230,8 @@ def test_wedge_matches_reference(p, q, module_rank, N, banded):
 
 @pytest.mark.parametrize("N, banded", FORM_CASES)
 def test_d1_matches_reference(N, banded):
-    coords = fuzzy_coordinates(SpinLabel.from_dimension(N), banded=banded)
+    spin = SpinLabel.from_dimension(N)
+    coords = fuzzy_coordinates(spin) if banded else dense_coordinates(spin)
     for _ in range(3):
         omega = random_form(1, 1, N, banded)
         assert_identical(d1(coords, omega), reference.d1(coords, omega))
@@ -242,3 +247,28 @@ def test_graded_form_arithmetic_keeps_the_shape(degree, module_rank, N):
     for out in (a + b, a - b, a.scale(2.5j)):
         assert (out.degree, out.module_rank, out.algebra_dim) == (degree, module_rank, N)
         assert len(out.components) == N_COMPONENTS[degree]
+
+
+# The derivations on the rank-2 module, as verify's diff-calculus suite runs them
+
+
+def module_coordinates(coords):
+    """X_a (x) 1_2 with kappa per module row: derive, d0 and d1 then act on C^N (x) C^2."""
+    return FuzzyCoordinates(coords.spins, coords.kappa.repeat(2),
+                            *(kron(coords.axis(a), np.eye(2)) for a in (1, 2, 3)))
+
+
+@pytest.mark.parametrize("n_values", [(2,), (3, 8), (2, 5, 47)])
+def test_derivations_on_module_coordinates_act_on_the_module(n_values):
+    # e_a is (1/kappa) [X_a (x) 1, .], the reference's module derivation bit for
+    # bit, d0(Q) is dQ and d1(dQ) is 0, each block within a few eps times N/2
+    coords = fuzzy_coordinates(*map(SpinLabel.from_dimension, n_values))
+    module, q, sizes = module_coordinates(coords), sigma_dot_x(coords), coords.sizes
+    for a in (1, 2, 3):
+        ours, theirs = derive(module, a, q), curvature_reference.derive(coords, a, q)
+        assert np.array_equal(ours.offsets, theirs.offsets)
+        assert np.array_equal(ours.data, theirs.data)
+    d_q = dq(coords)
+    for form in (d0(module, q) - d_q, d1(module, d_q)):
+        for c in form.components:
+            assert np.all(max_abs(c, 2 * sizes) <= 4e-16 * sizes / 2)

@@ -25,6 +25,7 @@ from fuzzychern.chern import (
 from fuzzychern.linalg import Banded, max_abs, normalized_trace
 from fuzzychern.su2 import SpinLabel, fuzzy_coordinates
 from banded_reference import toarray
+import dense_reference as dense
 from report_reference import dense_report
 from volume_reference import derived_volume_form
 
@@ -35,37 +36,44 @@ def make_coords(N):
     return fuzzy_coordinates(SpinLabel.from_dimension(N))
 
 
+def identity(N):
+    return Banded.from_diagonals(N, {0: 1.0})
+
+
 def test_star_integral_identity():
     for N in (2, 5, 9):
-        assert normalized_trace(np.eye(N)) == pytest.approx(1.0)
+        assert normalized_trace(identity(N), [N]) == pytest.approx(1.0)
 
 
 def test_star_integral_traceless():
     coords = make_coords(4)
-    assert abs(normalized_trace(coords.X3)) <= 1e-13
+    assert abs(normalized_trace(coords.X3, coords.sizes)) <= 1e-13
 
 
 def test_star_integral_linearity():
-    assert normalized_trace(2.5j * np.eye(3)) == pytest.approx(2.5j)
+    assert normalized_trace(2.5j * identity(3), [3]) == pytest.approx(2.5j)
 
 
 def test_volume_form_components_selfadjoint():
     # the components are real multiples of the self-adjoint coordinates
     for N in (2, 3, 5):
-        for c in volume_form(make_coords(N)).components:
-            assert np.max(np.abs(c - c.conj().T)) <= 1e-13
+        coords = make_coords(N)
+        for c in volume_form(coords).components:
+            assert max_abs(c - c.conj().T, coords.sizes) <= 1e-13
 
 
 def test_volume_form_nonzero():
     for N in (2, 3, 8):
-        assert volume_form(make_coords(N)).norm() > 1e-3
+        coords = make_coords(N)
+        assert volume_form(coords).norm(coords.sizes) > 1e-3
 
 
 def test_volume_form_unitary_covariance():
+    # on dense coordinates, which a dense unitary rotates
     from fuzzychern.su2 import FuzzyCoordinates
 
     N = 4
-    coords = make_coords(N)
+    coords = dense.dense_coordinates(SpinLabel.from_dimension(N))
     q, _ = np.linalg.qr(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
     rotated = FuzzyCoordinates(
         spins=coords.spins,
@@ -82,22 +90,22 @@ def test_volume_form_unitary_covariance():
 
 @pytest.mark.parametrize("N", [*range(2, 13), 33, 45, 46, 64, 257, 1000])
 def test_volume_form_matches_the_derived_form(N):
-    # banded, as reports_for builds it at every N, and dense, where the derived
-    # form's products stay cheap
-    for banded in (True, False) if N <= 64 else (True,):
-        coords = fuzzy_coordinates(SpinLabel.from_dimension(N), banded=banded)
+    # banded, as reports_for builds it at every N, and on the dense reference
+    # coordinates, where the derived form's products stay cheap
+    spin = SpinLabel.from_dimension(N)
+    for coords in [fuzzy_coordinates(spin)] + ([dense.dense_coordinates(spin)] if N <= 64 else []):
         closed, derived = volume_form(coords), derived_volume_form(coords)
         for c, d in zip(closed.components, derived.components):
-            assert max_abs(c - d) <= 1e-12
+            assert dense.max_abs(c - d) <= 1e-12
 
 
 def test_volume_form_of_a_ladder_takes_each_block_alone():
     # lam is per row, so each block of a stacked ladder is the form of its N
     n_values = [2, 5, 3]
-    ladder = volume_form(fuzzy_coordinates(*map(SpinLabel.from_dimension, n_values), banded=True))
+    ladder = volume_form(fuzzy_coordinates(*map(SpinLabel.from_dimension, n_values)))
     start = 0
     for N in n_values:
-        alone = volume_form(fuzzy_coordinates(SpinLabel.from_dimension(N), banded=True))
+        alone = volume_form(fuzzy_coordinates(SpinLabel.from_dimension(N)))
         for c, a in zip(ladder.components, alone.components):
             block = toarray(c)[start:start + N, start:start + N]
             assert np.array_equal(block, toarray(a))
@@ -120,24 +128,27 @@ def test_report_derives_only_the_projector(count_calls, N, sign):
 
 
 def test_extract_coefficient_exact_multiple():
-    om = volume_form(make_coords(3))
-    lam, res = extract_coefficient(om.scale(2.5), om)
+    coords = make_coords(3)
+    om = volume_form(coords)
+    lam, res = extract_coefficient(om.scale(2.5), om, coords.sizes)
     assert lam == pytest.approx(2.5, abs=1e-13)
     assert res <= 1e-14
 
 
 def test_extract_coefficient_residual_grows_linearly():
-    om = volume_form(make_coords(3))
-    perturb = om.scale(0.0)
-    comps = list(perturb.components)
-    comps[0] = comps[0] + (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    coords = make_coords(3)
+    om = volume_form(coords)
+    comps = list(om.scale(0.0).components)
+    comps[0] = comps[0] + Banded.from_diagonals(
+        3, {o: rng.standard_normal(3 - abs(o)) + 1j * rng.standard_normal(3 - abs(o))
+            for o in (-2, -1, 0, 1, 2)})
     from fuzzychern.calculus import GradedForm
 
     noise = GradedForm(2, 1, 3, tuple(comps))
     residuals = []
     for eps in (1e-4, 2e-4, 4e-4):
-        _, res = extract_coefficient(om + noise.scale(eps), om)
-        residuals.append(res)
+        _, res = extract_coefficient(om + noise.scale(eps), om, coords.sizes)
+        residuals.append(res[0])
     assert residuals[1] == pytest.approx(2 * residuals[0], rel=1e-3)
     assert residuals[2] == pytest.approx(4 * residuals[0], rel=1e-3)
 
@@ -217,7 +228,7 @@ def test_sweep_ordering():
 
 
 def report_on(N, sign):
-    coords = fuzzy_coordinates(SpinLabel.from_dimension(N), banded=True)
+    coords = fuzzy_coordinates(SpinLabel.from_dimension(N))
     return chern_number(build_fuzzy_projector(coords, sign), coords, volume_form(coords))[0]
 
 
@@ -226,9 +237,10 @@ def test_report_for_is_banded_at_every_n(monkeypatch):
     # (N <= 45) included, and a report is the banded pipeline's at any N
     built = []
 
-    def spy(*spins, banded=False):
-        built.append(banded)
-        return fuzzy_coordinates(*spins, banded=banded)
+    def spy(*spins):
+        coords = fuzzy_coordinates(*spins)
+        built.append(all(isinstance(coords.axis(a), Banded) for a in (1, 2, 3)))
+        return coords
 
     monkeypatch.setattr(chern, "fuzzy_coordinates", spy)
     for N in (2, 32, 45, 46):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fuzzychern import bundles, chern, cli, invariants
+from fuzzychern import bundles, calculus, chern, cli, invariants
 from fuzzychern.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -178,8 +178,8 @@ def test_verify_passes(capsys):
 
 # the input each verify stage names, as the build-time checks name N and sign
 VERIFY_INPUTS = {
-    "linalg-trace": r"8x8 a, b",
-    "linalg-kron": r"8x8 a, b, 3x3 c",
+    "linalg-trace": r"N=[2-8]",
+    "linalg-kron": r"N=[2-8]",
     "su2-repr": r"N=[2-8]",
     "diff-calculus": r"N=[2-8]",
     "projector": r"N=[2-4] sign=[+-]1",
@@ -215,6 +215,35 @@ def test_verify_fails_the_suite_whose_bound_no_residual_meets(capsys, monkeypatc
     line = next(l for l in out.splitlines() if " FAIL " in l)
     pattern = r"%s +FAIL  \(max residual \S+ at (%s)\)"
     assert re.fullmatch(pattern % (re.escape(suite), VERIFY_INPUTS[stage]), line)
+
+
+def d1_without_the_bracket(coords, omega):
+    """d1 short of its -i eps_abc omega_c term, which evaluates omega on [e_a, e_b]."""
+    w = omega.components
+    return calculus.GradedForm(2, 1, coords.N, tuple(
+        calculus.derive(coords, a, w[b - 1]) - calculus.derive(coords, b, w[a - 1])
+        for a, b, _, _ in calculus.EPS_ROWS))
+
+
+# each breaks one identity of the calculus on the report's operators: e_b(Q) = dQ_b
+# without the 1/kappa, d(dQ) = 0 without the bracket term, and the Leibniz rule
+# when e_b is not a derivation (e_b(f) gains f)
+BROKEN_CALCULUS = {
+    "derive-without-kappa": ("derive", lambda coords, a, f: calculus.commutator(coords.axis(a), f)),
+    "d1-without-bracket": ("d1", d1_without_the_bracket),
+    "derive-not-a-derivation": ("derive", lambda coords, a, f, derive=calculus.derive:
+                                derive(coords, a, f) + f),
+}
+
+
+@pytest.mark.parametrize("name, broken", BROKEN_CALCULUS.values(), ids=BROKEN_CALCULUS.keys())
+def test_verify_fails_diff_calculus_on_a_broken_calculus(capsys, monkeypatch, name, broken):
+    # patched where verify calls it and where d0 and d1 look it up
+    for module in (cli, calculus):
+        monkeypatch.setattr(module, name, broken)
+    code, out, _ = run(capsys, "verify", "--max-N", "4")
+    assert code == 1
+    assert [l.split()[0] for l in out.splitlines() if " FAIL " in l] == ["diff-calculus"]
 
 
 def test_every_bound_is_met_through_check(capsys, count_calls):
@@ -367,23 +396,26 @@ def test_verify_builds_each_projector_and_volume_form_once(capsys, count_calls):
     shared = count_calls(bundles, "dq_wedge_dq")
     code, _, _ = run(capsys, "verify", "--max-N", "8")
     assert code == 0
-    # the ladder 2..8 is one batch: one projector per sign, one omega and one W
+    # the ladder 2..8 is one batch: one projector per sign, one omega and one W;
+    # diff-calculus builds one projector per sign on its own ladder, 2..8 and max_N
     ladder = tuple(range(2, 9))
     built = Counter((tuple(coords.sizes.tolist()), sign) for coords, sign in projectors)
-    assert built == Counter({(ladder, s): 1 for s in (1, -1)})
+    assert built == Counter({(n_values, s): 1 for n_values in (ladder, ladder + (8,))
+                             for s in (1, -1)})
     assert [tuple(coords.sizes.tolist()) for (coords,) in forms] == [ladder]
     assert [tuple(coords.sizes.tolist()) for (coords,) in shared] == [ladder]
 
 
 def test_verify_above_32_builds_a_doubling_ladder(capsys, count_calls):
     # every N up to 32, then N doubling up to max_N: O(log max_N) reports, in
-    # batches of at most BATCH_DIM stacked rows
+    # batches of at most BATCH_DIM stacked rows; diff-calculus takes 2..8 and max_N
     projectors = count_calls(bundles, "build_fuzzy_projector")
     code, out, _ = run(capsys, "verify", "--max-N", "1000")
     assert code == 0 and out.endswith("all suites passed\n")
     built = Counter((tuple(coords.sizes.tolist()), sign) for coords, sign in projectors)
     batches = [tuple(range(2, 33)) + (64, 128, 256), (512,), (1000,)]
-    assert built == Counter({(batch, s): 1 for batch in batches for s in (1, -1)})
+    calculus = tuple(range(2, 9)) + (1000,)
+    assert built == Counter({(batch, s): 1 for batch in batches + [calculus] for s in (1, -1)})
     assert all(sum(batch) <= chern.BATCH_DIM for batch in batches[:2])
 
 
@@ -462,7 +494,8 @@ def openblas_kernel():
 def test_output_matches_golden_file(capsys, argv, name):
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
-    # dense products are BLAS calls, so a mismatch names the kernel it met
+    # no command makes a BLAS call, so no output may depend on the kernel; a
+    # mismatch names the one it met, in case a product became a BLAS call again
     assert out == (GOLDEN / name).read_text(), "OpenBLAS kernel %s" % openblas_kernel()
 
 
@@ -474,7 +507,9 @@ def blas_kernels():
         from numpy._core._multiarray_umath import __cpu_features__ as cpu
     except ImportError:  # numpy < 2
         from numpy.core._multiarray_umath import __cpu_features__ as cpu
-    return [None, "Prescott"] + (["Haswell"] if cpu.get("AVX2") and cpu.get("FMA3") else [])
+    return ([None, "Prescott"] + (["Nehalem"] if cpu.get("SSE42") else [])
+            + (["Sandybridge"] if cpu.get("AVX") else [])
+            + (["Haswell"] if cpu.get("AVX2") and cpu.get("FMA3") else []))
 
 
 ORACLE_SCRIPT = """
@@ -492,15 +527,15 @@ sys.exit(max(main(['commutative', '--k', '4', '--transpose', '--format', 'csv'])
 
 
 def test_oracle_and_banded_output_do_not_depend_on_the_blas_kernel():
-    # neither the oracle nor a report, banded at every N, makes a BLAS call, so
-    # forcing another OpenBLAS kernel in the child process leaves the oracle's
-    # charges bit-identical and the commutative, fuzzy and sweep outputs
-    # byte-identical, the sweeps equal to their golden files; verify's other
-    # lines may move (its diff-calculus suite runs dense products). The repr of
-    # every charge sees a last-bit change that the printed 15 digits hide,
+    # neither the oracle nor any operator of fuzzy, sweep and verify, banded
+    # throughout, makes a BLAS call, so forcing another OpenBLAS kernel in the
+    # child process leaves the oracle's charges bit-identical and every output
+    # byte-identical, the sweeps and verify equal to their golden files. The repr
+    # of every charge sees a last-bit change that the printed 15 digits hide,
     # N = 75's residual moved in its last printed digit while the Frobenius
-    # norm was a BLAS dot, and the sweeps' dense rows (N <= 45) moved under
-    # Prescott and Sandybridge while they ran dense
+    # norm was a BLAS dot, the sweeps' dense rows (N <= 45) moved under Prescott
+    # and Sandybridge while they ran dense, and verify's diff-calculus line moved
+    # under every kernel but SkylakeX while it ran on dense random matrices
     src = str(Path(__file__).parents[1] / "src")
     outputs = []
     for kernel in blas_kernels():
@@ -511,17 +546,31 @@ def test_oracle_and_banded_output_do_not_depend_on_the_blas_kernel():
         proc = subprocess.run([sys.executable, "-c", ORACLE_SCRIPT], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        lines = proc.stdout.splitlines()
-        verify = lines.index(next(line for line in lines if line.startswith("linalg-core")))
-        oracle = [line for line in lines[verify:] if line.startswith("s2-oracle")]
-        assert len(oracle) == 1 and "PASS" in oracle[0]
-        outputs.append(lines[:verify] + oracle)
-    golden = [(GOLDEN / name).read_text().splitlines()
-              for name in ("commutative_4_transpose.csv", "sweep_2_12.csv", "sweep_44_48.csv")]
+        outputs.append(proc.stdout.splitlines())
+    golden = [(GOLDEN / name).read_text().splitlines() for name in
+              ("commutative_4_transpose.csv", "sweep_2_12.csv", "sweep_44_48.csv", "verify_8.txt")]
     assert outputs[0][1:3] == golden[0]
     assert outputs[0][3].startswith("N,sign,") and outputs[0][4].startswith("75,plus,")
-    assert outputs[0][5:] == golden[1] + golden[2] + outputs[0][-1:]
-    assert all(out == outputs[0] for out in outputs)
+    assert outputs[0][5:] == golden[1] + golden[2] + golden[3]
+    assert all(out == outputs[0] for out in outputs), blas_kernels()
+
+
+@pytest.mark.parametrize("argv", [("fuzzy", "--N", "5"), ("verify", "--max-N", "8")])
+def test_a_closed_stdout_exits_1_without_a_traceback(argv):
+    # the reader is gone before the command writes, as in `fuzzychern fuzzy
+    # --N 5 | true`: the write's BrokenPipeError ends the run with exit 1 and
+    # nothing on stderr, and the flush at exit does not raise it again
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "fuzzychern.cli", *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 LAZY_IMPORTS_SCRIPT = """

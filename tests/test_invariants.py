@@ -60,7 +60,7 @@ def test_projector_from_a_wrong_kappa_fails_its_build_check(monkeypatch, stacked
     monkeypatch.setattr(bundles, "projector_coefficients",
                         lambda kappa, s: coefficients(kappa * 1.05, s))
     spins = [SpinLabel.from_dimension(N) for N in ((4, 2) if stacked else (4,))]
-    coords = fuzzy_coordinates(*spins, banded=True)
+    coords = fuzzy_coordinates(*spins)
     at = re.escape(" at N=4 sign=%+d" % sign)
     with pytest.raises(InvariantError, match=r"^projector residual \S+ exceeds 1e-12%s$" % at):
         bundles.build_fuzzy_projector(coords, sign)
