@@ -458,7 +458,11 @@ def test_verify_above_32_builds_a_doubling_ladder(capsys, count_calls):
 # moved, the abs_error and residual columns moved below 2e-15, and
 # verify_8's bundles residual went from 1.388e-16 to 2.220e-16 and its
 # chern-integration residual from 1.812e-15 to 1.817e-15; the commutative
-# files stayed byte-identical
+# files stayed byte-identical. verify_8 was recaptured when diff-calculus
+# moved from random dense matrices to the report's banded operators (e_b(Q) =
+# dQ_b, d(dQ) = 0 and the Leibniz rule on p p, each divided by N/2): its
+# residual went from 6.350e-15 to 1.586e-16, and no other byte of any golden
+# file changed
 GOLDEN_CASES = [
     (("sweep", "--from", "2", "--to", "12"), "sweep_2_12.table"),
     (("sweep", "--from", "2", "--to", "12", "--format", "csv"), "sweep_2_12.csv"),
