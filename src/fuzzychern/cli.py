@@ -144,7 +144,8 @@ def _ladder_suites(max_n):
         return z[:n] + 1j * z[n:]
 
     def records(stage, residuals, scale=1.0):
-        return [check(stage, r, at) for rs in residuals for r, at in zip((rs / scale).tolist(), ats)]
+        return [check(stage, r, at) for rs in residuals
+                for r, at in zip((rs / scale).tolist(), ats)]
 
     # linalg: traces of products of block-diagonal operands, the coordinates with
     # random rows, and kron of X_3 with small dense factors b and c, each block
@@ -167,8 +168,8 @@ def _ladder_suites(max_n):
     residuals.append(max_abs(xs[0] @ xs[0] + xs[1] @ xs[1] + xs[2] @ xs[2] - one, sizes))
     q = sigma_dot_x(coords)
     beta = abs(projector_coefficients(np.array([s.kappa for s in spins]), 1)[1])
-    commuted = [beta * max_abs(commutator(q, kron(one, s / 2) + kron(x / kap, np.eye(2))), 2 * sizes)
-                for s, x in zip(PAULI, xs)]
+    commuted = [beta * max_abs(commutator(q, kron(one, s / 2) + kron(x / kap, np.eye(2))),
+                               2 * sizes) for s, x in zip(PAULI, xs)]
 
     # calculus on the report's own operators: derive, d0 and d1 act on the module
     # C^N (x) C^2 through the coordinates X_a (x) 1 with kappa per module row.
@@ -179,7 +180,7 @@ def _ladder_suites(max_n):
     dq_form = dq(coords)
     calculus = [np.maximum.reduce([max_abs(c, 2 * sizes) for c in form.components])
                 for form in (d0(module, q) - dq_form, d1(module, dq_form))]
-    del dq_form
+    del dq_form  # nor is dQ, while the Leibniz checks run
     for sign in (1, -1):
         p = build_fuzzy_projector(coords, sign, sigma_x=q).realization
         pp = p @ p

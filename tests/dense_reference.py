@@ -38,13 +38,6 @@ def _entries(a):
     return a.data if isinstance(a, Banded) else a
 
 
-def normalized_trace(a):
-    """(1/N) tr a of a whole N x N matrix."""
-    if isinstance(a, Banded):
-        return complex(np.add.reduce(a.data[a.offsets == 0], axis=None)) / a.shape[0]
-    return complex(np.trace(a)) / a.shape[0]
-
-
 def hs_inner(a, b):
     """Hilbert-Schmidt inner product tr(a^dagger b) of two dense matrices."""
     return complex(np.add.reduce(np.conj(a) * b, axis=None))

@@ -93,7 +93,8 @@ def test_volume_form_matches_the_derived_form(N):
     # banded, as reports_for builds it at every N, and on the dense reference
     # coordinates, where the derived form's products stay cheap
     spin = SpinLabel.from_dimension(N)
-    for coords in [fuzzy_coordinates(spin)] + ([dense.dense_coordinates(spin)] if N <= 64 else []):
+    dense_coords = [dense.dense_coordinates(spin)] if N <= 64 else []
+    for coords in [fuzzy_coordinates(spin)] + dense_coords:
         closed, derived = volume_form(coords), derived_volume_form(coords)
         for c, d in zip(closed.components, derived.components):
             assert dense.max_abs(c - d) <= 1e-12

@@ -414,8 +414,9 @@ def test_verify_above_32_builds_a_doubling_ladder(capsys, count_calls):
     assert code == 0 and out.endswith("all suites passed\n")
     built = Counter((tuple(coords.sizes.tolist()), sign) for coords, sign in projectors)
     batches = [tuple(range(2, 33)) + (64, 128, 256), (512,), (1000,)]
-    calculus = tuple(range(2, 9)) + (1000,)
-    assert built == Counter({(batch, s): 1 for batch in batches + [calculus] for s in (1, -1)})
+    calculus_ladder = tuple(range(2, 9)) + (1000,)
+    assert built == Counter({(batch, s): 1 for batch in batches + [calculus_ladder]
+                             for s in (1, -1)})
     assert all(sum(batch) <= chern.BATCH_DIM for batch in batches[:2])
 
 
